@@ -20,6 +20,9 @@ from .windows import DenseOp, certify_stable
 
 GRID = 4096
 NONVANISH_TOL = 1e-6
+# Relative agreement required between the Steinberg pairing and the
+# tame-symbol integral, by the convention probe and by `detline tame`.
+PAIRING_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -181,18 +184,6 @@ def _mono_act(g: Loop, x: _MonoMor) -> _MonoMor:
     return _MonoMor(x.nu + g.n, x.nv + g.n, x.coeff * g.mu**deg)
 
 
-def _cres_monomial(g: Loop, h: Loop, base: int = 0) -> complex:
-    """Cochain value from the base object z^base (frame element choices)."""
-    gh = g * h
-    a_gh = _MonoMor(base, base + gh.n, 1.0 + 0.0j)
-    a_h = _MonoMor(base, base + h.n, 1.0 + 0.0j)
-    a_g = _MonoMor(base, base + g.n, 1.0 + 0.0j)
-    gah_inv = _mono_act(g, _mono_invert(a_h))
-    loop = _mono_compose(_mono_compose(a_gh, gah_inv), _mono_invert(a_g))
-    assert loop.nu == base and loop.nv == base
-    return complex(loop.coeff)
-
-
 def cres_cochain_base(g: Loop, h: Loop, base: int, twist=None) -> complex:
     """The monomial-mode cochain from an alternative base object z^base.
 
@@ -250,12 +241,11 @@ class WindowContext:
             coeffs, tail = symbol_coeffs(u, v, self.band)
             self.tail = max(self.tail, tail)
             cod_n = dom_n + w
+            sym = np.array([coeffs[k] for k in range(-self.band, self.band + 1)])
+            offset = np.subtract.outer(np.arange(cod_n), np.arange(dom_n))
+            inside = np.abs(offset) <= self.band
             mat = np.zeros((cod_n, dom_n), dtype=complex)
-            for j in range(cod_n):
-                for k in range(dom_n):
-                    c = coeffs.get(j - k)
-                    if c is not None:
-                        mat[j, k] = c
+            mat[inside] = sym[offset[inside] + self.band]
             self._ops[key] = DenseOp(list(range(dom_n)), list(range(cod_n)), mat)
         return self._ops[key]
 
@@ -266,14 +256,7 @@ class WindowContext:
         representative through the dual functionals of the kernel frame.
         """
         pres = op.presentation()
-        mat = np.array(op.matrix, dtype=complex)
-        dpos = {l: i for i, l in enumerate(op.dom_labels)}
-        cpos = {l: i for i, l in enumerate(op.cod_labels)}
-        for chi, rv in zip(fredlines._chi_functionals(list(pres.ker)), pres.coker):
-            for rl, rc in rv.items():
-                for cl, cc in chi.items():
-                    mat[cpos[rl], dpos[cl]] += rc * cc
-        return mat
+        return fredlines.completed(op, op.dom_labels, op.cod_labels, pres.ker, pres.coker)
 
 
 @dataclass(frozen=True)
@@ -356,7 +339,7 @@ def m_uni(g: Loop, h: Loop, n: int) -> complex:
 def cres_cocycle(g: Loop, h: Loop, window_n: int = 64, certify: bool = True) -> complex:
     """Group 2-cochain of the restricted linear category on two loops."""
     if g.is_monomial and h.is_monomial:
-        return _cres_monomial(g, h)
+        return cres_cochain_base(g, h, 0)
     val = _cres_window(g, h, window_n)
     if certify:
         val2 = _cres_window(g, h, window_n + 16)
@@ -397,20 +380,6 @@ def tame_symbol_formula(u: Loop, v: Loop, q_points: int = GRID) -> complex:
     return complex(np.exp(integral / (2j * np.pi)) * v.at(1.0) ** (-w_u))
 
 
-@dataclass(frozen=True)
-class TameSymbolResult:
-    """Tame-symbol evaluation together with its numerical parameters."""
-
-    value: complex
-    q_points: int
-    window_n: int | None = None
-
-
-def tame_symbol(u: Loop, v: Loop, q_points: int = GRID) -> TameSymbolResult:
-    """Tame-symbol integral packaged with the quadrature resolution."""
-    return TameSymbolResult(tame_symbol_formula(u, v, q_points), q_points)
-
-
 _CONVENTION = {}
 
 
@@ -420,9 +389,9 @@ def convention_exponent(window_n: int = 64) -> int:
         probe_u, probe_v = Loop.monomial(1.0, 1), Loop.monomial(2.0, 0)
         pairing = steinberg_pairing(probe_u, probe_v, window_n)
         tame = tame_symbol_formula(probe_u, probe_v)
-        if abs(pairing - tame) <= 1e-6 * abs(tame):
+        if abs(pairing - tame) <= PAIRING_REL_TOL * abs(tame):
             _CONVENTION["s"] = 1
-        elif abs(pairing - 1.0 / tame) <= 1e-6 * abs(tame):
+        elif abs(pairing - 1.0 / tame) <= PAIRING_REL_TOL * abs(tame):
             _CONVENTION["s"] = -1
         else:
             raise Unstable(f"convention probe failed: {pairing} vs {tame}")

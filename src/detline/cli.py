@@ -151,7 +151,8 @@ def cmd_tame(args) -> int:
             "convention_exponent": s,
         }
     )
-    return 0
+    want = integral**s
+    return 0 if abs(pairing - want) <= ci.PAIRING_REL_TOL * abs(want) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,9 +11,10 @@ torsion / perturbation / stabilisation calculus.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import mul
 
 from . import fredlines
-from ._intervals import BoxUnion
 from .errors import IdealViolation
 from .lattice import FiberedLatticeOp, SlotSpace
 from .torus import (
@@ -24,6 +25,14 @@ from .torus import (
     big_Omega,
     sigma_region,
 )
+
+
+# Transposition schedules of Context.triv: binary composition, its dual,
+# and the ternary composition with its dual.
+COMPOSE = ((0, 1), (1, 2), (0, 2))
+COMPOSE_DAGGER = ((0, 2), (1, 2), (0, 1))
+TERNARY = ((0, 1), (1, 2), (2, 3), (0, 3))
+TERNARY_DAGGER = ((0, 3), (2, 3), (1, 2), (0, 1))
 
 
 def _idem_key(p: RingIdempotent):
@@ -59,13 +68,12 @@ class Context:
     def line_deg(self, lam, mu, p, q) -> int:
         return self.F(lam, mu, p, q).presentation().degree
 
-    def _stab_full(self, T, lams):
+    def _extend_full(self, T, lams):
         """T plus the identity on the slotwise complements of pi(1)."""
-        dom_slots, cod_slots, extra = [], [], {}
+        slots, extra = [], {}
         for k, lam in enumerate(lams):
             full = sigma_region(lam, RingIdempotent.unit())
-            dom_slots.append((f"s{k}", full))
-            cod_slots.append((f"s{k}", full))
+            slots.append((f"s{k}", full))
             comp_d = full.subtract(T.dom.slots[k].support)
             comp_c = full.subtract(T.cod.slots[k].support)
             if comp_d != comp_c:
@@ -74,35 +82,9 @@ class Context:
                 extra[(k, k)] = [(1.0, b) for b in comp_d.canonical_boxes()]
         entries = {key: list(pairs) for key, pairs in T.entries.items()}
         for key, pairs in extra.items():
-            entries.setdefault(key, [])
-            entries[key] = entries[key] + pairs
-        big = FiberedLatticeOp(SlotSpace(dom_slots), SlotSpace(cod_slots), entries)
-        smap = fredlines.stabilization(T, big)
-        return big, smap.scalar
-
-    def _omega_chain_full(self, lams, pairs):
-        """Product of big Omegas at the base point, plus full complements."""
-        p0s = tuple(self.p0 for _ in lams)
-        prod = None
-        for pr in pairs:
-            om = big_Omega(list(lams), pr, p0s)
-            prod = om if prod is None else prod.compose(om)
-        big, _ = self._stab_full_invertible(prod, lams)
-        return big
-
-    def _stab_full_invertible(self, T, lams):
-        dom_slots, entries = [], {key: list(pairs) for key, pairs in T.entries.items()}
-        for k, lam in enumerate(lams):
-            full = sigma_region(lam, RingIdempotent.unit())
-            dom_slots.append((f"s{k}", full))
-            comp = full.subtract(T.dom.slots[k].support)
-            if not comp.is_empty():
-                entries.setdefault((k, k), [])
-                entries[(k, k)] = entries[(k, k)] + [
-                    (1.0, b) for b in comp.canonical_boxes()
-                ]
-        space = SlotSpace(dom_slots)
-        return FiberedLatticeOp(space, space, entries), 1.0
+            entries[key] = entries.get(key, []) + pairs
+        space = SlotSpace(slots)
+        return FiberedLatticeOp(space, space, entries)
 
     # -- duality ---------------------------------------------------------------
 
@@ -136,92 +118,46 @@ class Context:
 
         return self._get(key, build)
 
-    # -- trivialisations of triple products -------------------------------------
+    # -- trivialisations of chains of F blocks ---------------------------------
 
-    def mu_triv(self, lam, mu, nu, p) -> complex:
+    def triv(self, lams, e, schedule) -> complex:
+        """Scalar trivialising |F^(n)| (x) ... (x) |F^(1)| against the Omega chain.
+
+        The idempotent e starts in slot schedule[0][0], every other slot
+        holds p0, and e moves across each transposition (i, j) of the
+        schedule.  Step k is big_F(lams, (i, j), ps), stabilised from
+        F(lam_i, lam_j)(p_i, p_j); the chain's composite, extended by the
+        identity to the full slots, is compared by perturbation with the
+        Omega chain of the reversed schedule at the base point.
+        """
         key = (
-            "mu",
-            _lam_key(lam),
-            _lam_key(mu),
-            _lam_key(nu),
-            _idem_key(p),
+            "triv",
+            schedule,
+            tuple(_lam_key(lam) for lam in lams),
+            _idem_key(e),
             _idem_key(self.p0),
         )
 
         def build():
-            lams = (lam, mu, nu)
             p0 = self.p0
-            F12 = big_F(list(lams), (0, 1), (p, p0, p0))
-            F23 = big_F(list(lams), (1, 2), (p0, p, p0))
-            F13d = big_F(list(lams), (0, 2), (p0, p0, p))
-            s1 = fredlines.stabilization(self.F(lam, mu, p, p0), F12, (0, 1), (0, 1)).scalar
-            s2 = fredlines.stabilization(self.F(mu, nu, p, p0), F23, (1, 2), (1, 2)).scalar
-            s3 = fredlines.stabilization(self.F(lam, nu, p0, p), F13d, (0, 2), (0, 2)).scalar
-            chain = fredlines.torsion_chain([F12, F23, F13d])
-            comp = F13d.compose(F23).compose(F12)
-            big, s4 = self._stab_full(comp, lams)
-            target = self._omega_chain_full(lams, [(0, 2), (1, 2), (0, 1)])
-            pert = fredlines.perturbation(big, target)
-            return s1 * s2 * s3 * chain.scalar * s4 * pert.scalar
-
-        return self._get(key, build)
-
-    def mu_dagger_triv(self, lam, mu, nu, q) -> complex:
-        key = (
-            "mud",
-            _lam_key(lam),
-            _lam_key(mu),
-            _lam_key(nu),
-            _idem_key(q),
-            _idem_key(self.p0),
-        )
-
-        def build():
-            lams = (lam, mu, nu)
-            p0 = self.p0
-            F13 = big_F(list(lams), (0, 2), (q, p0, p0))
-            F23d = big_F(list(lams), (1, 2), (p0, p0, q))
-            F12d = big_F(list(lams), (0, 1), (p0, q, p0))
-            s1 = fredlines.stabilization(self.F(lam, nu, q, p0), F13, (0, 2), (0, 2)).scalar
-            s2 = fredlines.stabilization(self.F(mu, nu, p0, q), F23d, (1, 2), (1, 2)).scalar
-            s3 = fredlines.stabilization(self.F(lam, mu, p0, q), F12d, (0, 1), (0, 1)).scalar
-            chain = fredlines.torsion_chain([F13, F23d, F12d])
-            comp = F12d.compose(F23d).compose(F13)
-            big, s4 = self._stab_full(comp, lams)
-            target = self._omega_chain_full(lams, [(0, 1), (1, 2), (0, 2)])
-            pert = fredlines.perturbation(big, target)
-            return s1 * s2 * s3 * chain.scalar * s4 * pert.scalar
-
-        return self._get(key, build)
-
-    def mu_ternary(self, lam, mu, nu, tau, p) -> complex:
-        key = (
-            "mu4",
-            _lam_key(lam),
-            _lam_key(mu),
-            _lam_key(nu),
-            _lam_key(tau),
-            _idem_key(p),
-            _idem_key(self.p0),
-        )
-
-        def build():
-            lams = (lam, mu, nu, tau)
-            p0 = self.p0
-            F12 = big_F(list(lams), (0, 1), (p, p0, p0, p0))
-            F23 = big_F(list(lams), (1, 2), (p0, p, p0, p0))
-            F34 = big_F(list(lams), (2, 3), (p0, p0, p, p0))
-            F14d = big_F(list(lams), (0, 3), (p0, p0, p0, p))
-            s1 = fredlines.stabilization(self.F(lam, mu, p, p0), F12, (0, 1), (0, 1)).scalar
-            s2 = fredlines.stabilization(self.F(mu, nu, p, p0), F23, (1, 2), (1, 2)).scalar
-            s3 = fredlines.stabilization(self.F(nu, tau, p, p0), F34, (2, 3), (2, 3)).scalar
-            s4 = fredlines.stabilization(self.F(lam, tau, p0, p), F14d, (0, 3), (0, 3)).scalar
-            chain = fredlines.torsion_chain([F12, F23, F34, F14d])
-            comp = F14d.compose(F34).compose(F23).compose(F12)
-            big, s5 = self._stab_full(comp, lams)
-            target = self._omega_chain_full(lams, [(0, 3), (2, 3), (1, 2), (0, 1)])
-            pert = fredlines.perturbation(big, target)
-            return s1 * s2 * s3 * s4 * chain.scalar * s5 * pert.scalar
+            ps = [p0] * len(lams)
+            ps[schedule[0][0]] = e
+            factors, steps = [], []
+            for i, j in schedule:
+                step = big_F(list(lams), (i, j), tuple(ps))
+                small = self.F(lams[i], lams[j], ps[i], ps[j])
+                factors.append(fredlines.stabilization(small, step, (i, j), (i, j)).scalar)
+                steps.append(step)
+                ps[i], ps[j] = ps[j], ps[i]
+            factors.append(fredlines.torsion_chain(steps).scalar)
+            comp = reduce(FiberedLatticeOp.compose, reversed(steps))
+            big = self._extend_full(comp, lams)
+            factors.append(fredlines.stabilization(comp, big).scalar)
+            p0s = tuple(p0 for _ in lams)
+            omegas = [big_Omega(list(lams), pair, p0s) for pair in reversed(schedule)]
+            target = self._extend_full(reduce(FiberedLatticeOp.compose, omegas), lams)
+            factors.append(fredlines.perturbation(big, target).scalar)
+            return reduce(mul, factors)
 
         return self._get(key, build)
 
@@ -229,11 +165,11 @@ class Context:
 
     def M_p(self, lam, mu, nu, p) -> complex:
         """Frame scalar of the composition in the p-indexed line category."""
-        return self.phi(lam, nu, p) * self.mu_triv(lam, mu, nu, p)
+        return self.phi(lam, nu, p) * self.triv((lam, mu, nu), p, COMPOSE)
 
     def M_q_dagger(self, lam, mu, nu, q) -> complex:
         """Frame scalar of the dual composition (arguments mu->nu, lam->mu)."""
-        return self.phi(lam, nu, q) * self.mu_dagger_triv(lam, mu, nu, q)
+        return self.phi(lam, nu, q) * self.triv((lam, mu, nu), q, COMPOSE_DAGGER)
 
 
 def duality_phi(ctx: Context, e: RingIdempotent, lam: SigmaIndex, mu: SigmaIndex) -> complex:
@@ -352,44 +288,13 @@ def ternary_compose(x: HomElement, y: HomElement, z: HomElement) -> HomElement:
         z.deg_p + z.deg_q
     )
     sign = -1.0 if sign_exp % 2 else 1.0
-    mu4 = ctx.mu_ternary(x.lam, x.mu, y.mu, z.mu, x.p)
-    mu4d = _mu_ternary_dagger(ctx, x.lam, x.mu, y.mu, z.mu, x.q)
+    lams = (x.lam, x.mu, y.mu, z.mu)
+    mu4 = ctx.triv(lams, x.p, TERNARY)
+    mu4d = ctx.triv(lams, x.q, TERNARY_DAGGER)
     phi_p = ctx.phi(x.lam, z.mu, x.p)
     phi_q = ctx.phi(x.lam, z.mu, x.q)
     scalar = sign * phi_p * mu4 * phi_q * mu4d * x.coeff * y.coeff * z.coeff
     return HomElement(ctx, x.p, x.q, x.lam, z.mu, scalar)
-
-
-def _mu_ternary_dagger(ctx, lam, mu, nu, tau, q) -> complex:
-    key = (
-        "mu4d",
-        _lam_key(lam),
-        _lam_key(mu),
-        _lam_key(nu),
-        _lam_key(tau),
-        _idem_key(q),
-        _idem_key(ctx.p0),
-    )
-
-    def build():
-        lams = (lam, mu, nu, tau)
-        p0 = ctx.p0
-        F14 = big_F(list(lams), (0, 3), (q, p0, p0, p0))
-        F34d = big_F(list(lams), (2, 3), (p0, p0, p0, q))
-        F23d = big_F(list(lams), (1, 2), (p0, p0, q, p0))
-        F12d = big_F(list(lams), (0, 1), (p0, q, p0, p0))
-        s1 = fredlines.stabilization(ctx.F(lam, tau, q, p0), F14, (0, 3), (0, 3)).scalar
-        s2 = fredlines.stabilization(ctx.F(nu, tau, p0, q), F34d, (2, 3), (2, 3)).scalar
-        s3 = fredlines.stabilization(ctx.F(mu, nu, p0, q), F23d, (1, 2), (1, 2)).scalar
-        s4 = fredlines.stabilization(ctx.F(lam, mu, p0, q), F12d, (0, 1), (0, 1)).scalar
-        chain = fredlines.torsion_chain([F14, F34d, F23d, F12d])
-        comp = F12d.compose(F23d).compose(F34d).compose(F14)
-        big, s5 = ctx._stab_full(comp, lams)
-        target = ctx._omega_chain_full(lams, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        pert = fredlines.perturbation(big, target)
-        return s1 * s2 * s3 * s4 * chain.scalar * s5 * pert.scalar
-
-    return ctx._get(key, build)
 
 
 def change_base(x: HomElement, p0_new: RingIdempotent) -> HomElement:

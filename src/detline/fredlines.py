@@ -5,6 +5,14 @@ relative to canonical frames: the frame of |T| is (wedge of the canonical
 kernel basis) tensor (dual wedge of the canonical cokernel
 representatives), in presentation order.  Composing maps multiplies
 scalars.
+
+The maps work on fibered lattice operators and on dense windows alike.
+Besides presentation, apply, express_in_kernel, coker_coords, compose and
+sub, an operator provides what the perturbation map needs: `is_zero`,
+`is_finite_box`, `label_key` (the order of kernel labels, grouped by
+fiber), `pert_labels` (the finite block carrying the perturbation
+determinant), `block` (the operator's matrix on that block) and
+`pad_pair` (auxiliary coordinates that shift the index to zero).
 """
 
 from __future__ import annotations
@@ -14,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg
-from ._intervals import Box, BoxUnion
 from .graded import ExactTriangle, GradedLine, GradedVectorSpace, torsion_of_triangle
-from .lattice import FiberedLatticeOp, Presentation, SlotSpace, label_key
+from .lattice import FiberedLatticeOp, Presentation
 from .errors import (
     IndexMismatch,
     NotComplementary,
@@ -100,11 +107,7 @@ def quasi_map(phi, psi, T1, T2, check=True) -> LineMap:
     if check:
         lhs = psi.compose(T1)
         rhs = T2.compose(phi)
-        diff = lhs.sub(rhs)
-        if isinstance(diff, FiberedLatticeOp):
-            if diff.entries:
-                raise NotQuasiIso("psi T1 != T2 phi")
-        elif diff.matrix.size and np.max(np.abs(diff.matrix)) > 1e-9:
+        if not lhs.sub(rhs).is_zero():
             raise NotQuasiIso("psi T1 != T2 phi")
     p1, p2 = T1.presentation(), T2.presentation()
     if len(p1.ker) != len(p2.ker) or len(p1.coker) != len(p2.coker):
@@ -137,15 +140,14 @@ def _matcher_images(pres: Presentation):
     return [dict(r) for r in pres.coker]
 
 
-def _chi_functionals(kers):
-    """Dual functionals to kernel vectors, grouped per fiber / window."""
-    by_pt = {}
+def _chi_functionals(op, kers):
+    """Dual functionals to kernel vectors of op, grouped per fiber / window."""
+    by_fiber = {}
     for j, kv in enumerate(kers):
-        pt = next(iter(kv))[0] if isinstance(next(iter(kv)), tuple) and isinstance(next(iter(kv))[0], tuple) else None
-        by_pt.setdefault(pt, []).append(j)
+        by_fiber.setdefault(op.label_key(next(iter(kv)))[0], []).append(j)
     chis = [None] * len(kers)
-    for pt, idxs in by_pt.items():
-        labels = sorted({l for j in idxs for l in kers[j]}, key=_safe_key)
+    for idxs in by_fiber.values():
+        labels = sorted({l for j in idxs for l in kers[j]}, key=op.label_key)
         kmat = np.array(
             [[kers[j].get(l, 0.0) for j in idxs] for l in labels], dtype=complex
         )
@@ -155,95 +157,27 @@ def _chi_functionals(kers):
     return chis
 
 
-def _safe_key(label):
-    try:
-        return (0, label_key(label))
-    except Exception:
-        return (1, repr(label))
+def completed(T, dom_labels, cod_labels, kers, images):
+    """Block of T on the labels plus the matcher sum_j images[j] (x) chi_j.
 
-
-def _fibered_pert_det(T1, T2, images1, images2):
-    """det((T2 + F2)(T1 + F1)^{-1}) over the exceptional fiber block."""
-    p1, p2 = T1.presentation(), T2.presentation()
-    lo = [min(a[0], b[0]) for a, b in zip(T1.probe_box().axes, T2.probe_box().axes)]
-    hi = [max(a[1], b[1]) for a, b in zip(T1.probe_box().axes, T2.probe_box().axes)]
-    pts = list(Box(tuple(zip(lo, hi))).points())
-    T1._fiber_batch(pts)
-    T2._fiber_batch(pts)
-    exceptional = set()
-    for pt in pts:
-        m1, d1, c1 = T1.fiber(pt)
-        m2, _, _ = T2.fiber(pt)
-        if m1.shape != m2.shape or (
-            m1.size and np.max(np.abs(m1 - m2)) > 1e-12 * max(1.0, np.max(np.abs(m1)))
-        ):
-            exceptional.add(pt)
-            continue
-        if len(d1) != len(c1):
-            exceptional.add(pt)
-            continue
-        if d1 and abs(_linalg.det(m1)) < 1e-10:
-            exceptional.add(pt)
-    for coll in (p1.ker, p1.coker, p2.ker, p2.coker, images1, images2):
-        for vec in coll:
-            for (pt, _slot) in vec:
-                exceptional.add(pt)
-    pts_e = sorted(exceptional, key=lambda p: tuple(reversed(p)))
-    dom_labels, cod_labels = [], []
-    for pt in pts_e:
-        dom_labels.extend((pt, j) for j in T1.dom.active(pt))
-        cod_labels.extend((pt, i) for i in T1.cod.active(pt))
-    if len(dom_labels) != len(cod_labels):
-        raise IndexMismatch("exceptional block is not square")
+    chi_j are the dual functionals of the kernel vectors `kers`, so the
+    matcher sends the j-th kernel vector to images[j].
+    """
+    mat = T.block(dom_labels, cod_labels)
     dpos = {l: i for i, l in enumerate(dom_labels)}
     cpos = {l: i for i, l in enumerate(cod_labels)}
-    n = len(dom_labels)
-
-    def block(T, kers, images):
-        mat = np.zeros((n, n), dtype=complex)
-        for pt in pts_e:
-            m, d_a, c_a = T.fiber(pt)
-            for r, i in enumerate(c_a):
-                for c, j in enumerate(d_a):
-                    mat[cpos[(pt, i)], dpos[(pt, j)]] = m[r, c]
-        chis = _chi_functionals(kers) if kers else []
-        for j, img in enumerate(images):
-            for rl, rv in img.items():
-                for cl, cv in chis[j].items():
-                    mat[cpos[rl], dpos[cl]] += rv * cv
-        return mat
-
-    d1 = _linalg.det(block(T1, list(p1.ker), images1))
-    d2 = _linalg.det(block(T2, list(p2.ker), images2))
-    if abs(d1) < 1e-300:
-        raise IndexMismatch("completion of the first operator is singular")
-    return d2 / d1
-
-
-def _dense_pert_det(T1, T2, images1, images2):
-    p1, p2 = T1.presentation(), T2.presentation()
-    if len(T1.dom_labels) != len(T1.cod_labels):
-        raise IndexMismatch("window is not square")
-    dpos = {l: i for i, l in enumerate(T1.dom_labels)}
-    cpos = {l: i for i, l in enumerate(T1.cod_labels)}
-
-    def block(T, kers, images):
-        mat = np.array(T.matrix, dtype=complex)
-        chis = _chi_functionals(kers) if kers else []
-        for j, img in enumerate(images):
-            for rl, rv in img.items():
-                for cl, cv in chis[j].items():
-                    mat[cpos[rl], dpos[cl]] += rv * cv
-        return mat
-
-    d1 = _linalg.det(block(T1, list(p1.ker), images1))
-    d2 = _linalg.det(block(T2, list(p2.ker), images2))
-    if abs(d1) < 1e-300:
-        raise IndexMismatch("completion of the first operator is singular")
-    return d2 / d1
+    chis = _chi_functionals(T, kers) if kers else []
+    for j, img in enumerate(images):
+        for rl, rv in img.items():
+            for cl, cv in chis[j].items():
+                mat[cpos[rl], dpos[cl]] += rv * cv
+    return mat
 
 
 def _pert_index0(T1, T2, images1=None, images2=None) -> complex:
+    """det((T2 + F2)(T1 + F1)^{-1}) on the perturbation block, F_i the matchers
+    sending kernel frames to images_i, corrected by the images' cokernel
+    coordinates."""
     p1, p2 = T1.presentation(), T2.presentation()
     if images1 is None:
         images1 = _matcher_images(p1)
@@ -251,11 +185,14 @@ def _pert_index0(T1, T2, images1=None, images2=None) -> complex:
         images2 = _matcher_images(p2)
     c1 = _linalg.det(T1.coker_coords(images1))
     c2 = _linalg.det(T2.coker_coords(images2))
-    if isinstance(T1, FiberedLatticeOp):
-        ratio = _fibered_pert_det(T1, T2, images1, images2)
-    else:
-        ratio = _dense_pert_det(T1, T2, images1, images2)
-    return ratio * c1 / c2
+    dom_labels, cod_labels = T1.pert_labels(T2, [*images1, *images2])
+    if len(dom_labels) != len(cod_labels):
+        raise IndexMismatch("perturbation block is not square")
+    d1 = _linalg.det(completed(T1, dom_labels, cod_labels, p1.ker, images1))
+    d2 = _linalg.det(completed(T2, dom_labels, cod_labels, p2.ker, images2))
+    if abs(d1) < 1e-300:
+        raise IndexMismatch("completion of the first operator is singular")
+    return d2 / d1 * c1 / c2
 
 
 def _split_triangle_scalar(T, padded, aux_dom, aux_cod) -> complex:
@@ -286,54 +223,10 @@ def _split_triangle_scalar(T, padded, aux_dom, aux_cod) -> complex:
     return torsion_of_triangle(tri).scalar
 
 
-def _pad_pair(T1, T2, n_dom, n_cod):
-    if isinstance(T1, FiberedLatticeOp):
-        probe1, probe2 = T1.probe_box(margin=4), T2.probe_box(margin=4)
-        base = max(
-            max(hi for _, hi in probe1.axes), max(hi for _, hi in probe2.axes)
-        )
-        aux_pts = [
-            tuple(base + 2 * k for _ in range(T1.dim))
-            for k in range(max(n_dom, n_cod))
-        ]
-        out = []
-        for T in (T1, T2):
-            dom_slots = [(s.name, s.support) for s in T.dom.slots]
-            cod_slots = [(s.name, s.support) for s in T.cod.slots]
-            for k in range(n_dom):
-                dom_slots.append(
-                    (
-                        f"_auxd{k}",
-                        BoxUnion(T.dim, [Box(tuple((x, x + 1) for x in aux_pts[k]))]),
-                    )
-                )
-            for k in range(n_cod):
-                cod_slots.append(
-                    (
-                        f"_auxc{k}",
-                        BoxUnion(T.dim, [Box(tuple((x, x + 1) for x in aux_pts[k]))]),
-                    )
-                )
-            entries = {key: list(pairs) for key, pairs in T.entries.items()}
-            out.append(FiberedLatticeOp(SlotSpace(dom_slots), SlotSpace(cod_slots), entries))
-        n_slots_dom = len(T1.dom)
-        n_slots_cod = len(T1.cod)
-        aux_dom = [(aux_pts[k], n_slots_dom + k) for k in range(n_dom)]
-        aux_cod = [(aux_pts[k], n_slots_cod + k) for k in range(n_cod)]
-        return out[0], out[1], aux_dom, aux_cod
-    p1, _, _ = T1.pad(n_dom, n_cod)
-    p2, _, _ = T2.pad(n_dom, n_cod)
-    aux_dom = [("auxd", k) for k in range(n_dom)]
-    aux_cod = [("auxc", k) for k in range(n_cod)]
-    return p1, p2, aux_dom, aux_cod
-
-
 def perturbation(T1, T2, images1=None, images2=None) -> LineMap:
     """Perturbation isomorphism |T1| -> |T2| for trace-class differences."""
-    diff = T1.sub(T2)
-    if isinstance(diff, FiberedLatticeOp):
-        if not diff.is_finite_box():
-            raise NotTraceClassDifference("difference has unbounded support")
+    if not T1.sub(T2).is_finite_box():
+        raise NotTraceClassDifference("difference has unbounded support")
     idx1, idx2 = T1.index(), T2.index()
     if idx1 != idx2:
         raise IndexMismatch(f"indices differ: {idx1} vs {idx2}")
@@ -341,7 +234,7 @@ def perturbation(T1, T2, images1=None, images2=None) -> LineMap:
         scalar = _pert_index0(T1, T2, images1, images2)
         return LineMap(scalar, idx1, idx2)
     n_dom, n_cod = max(0, -idx1), max(0, idx1)
-    P1, P2, aux_dom, aux_cod = _pad_pair(T1, T2, n_dom, n_cod)
+    P1, P2, aux_dom, aux_cod = T1.pad_pair(T2, n_dom, n_cod)
     t1 = _split_triangle_scalar(T1, P1, aux_dom, aux_cod)
     t2 = _split_triangle_scalar(T2, P2, aux_dom, aux_cod)
     s_pad = _pert_index0(P1, P2)

@@ -439,30 +439,85 @@ class FiberedLatticeOp:
                     out[kix, cix] += sol[len(dom_a) + ix]
         return out
 
-    # -- padding (aux coordinates for index-shifting) -------------------------
+    # -- perturbation blocks and padding --------------------------------------
 
-    def pad(self, n_dom: int, n_cod: int):
-        """Add zero-mapped auxiliary slots at fresh lattice points.
+    @staticmethod
+    def label_key(label):
+        """Sort key of a (point, slot) label; its first part names the fiber."""
+        return label_key(label)
 
-        Returns (padded op, dom positions, cod positions) where the
-        positions embed the original slots into the padded spaces.
+    def is_zero(self) -> bool:
+        return not self.entries
+
+    def pert_labels(self, other: "FiberedLatticeOp", images):
+        """Domain and codomain labels of the exceptional fibers of a pair.
+
+        A fiber is exceptional when the two operators differ there, when
+        it is not square or singular, or when it carries a kernel or
+        cokernel vector of either operator or one of the `images`.
         """
-        probe = self.probe_box(margin=4)
-        base = max(hi for _, hi in probe.axes)
+        p1, p2 = self.presentation(), other.presentation()
+        axes = zip(self.probe_box().axes, other.probe_box().axes)
+        pts = list(Box(tuple((min(a[0], b[0]), max(a[1], b[1])) for a, b in axes)).points())
+        self._fiber_batch(pts)
+        other._fiber_batch(pts)
+        exceptional = set()
+        for pt in pts:
+            m1, d1, c1 = self.fiber(pt)
+            m2, _, _ = other.fiber(pt)
+            if m1.shape != m2.shape or (
+                m1.size and np.max(np.abs(m1 - m2)) > 1e-12 * max(1.0, np.max(np.abs(m1)))
+            ):
+                exceptional.add(pt)
+                continue
+            if len(d1) != len(c1):
+                exceptional.add(pt)
+                continue
+            if d1 and abs(_linalg.det(m1)) < 1e-10:
+                exceptional.add(pt)
+        for coll in (p1.ker, p1.coker, p2.ker, p2.coker, images):
+            for vec in coll:
+                for (pt, _slot) in vec:
+                    exceptional.add(pt)
+        dom_labels, cod_labels = [], []
+        for pt in sorted(exceptional, key=pt_key):
+            dom_labels.extend((pt, j) for j in self.dom.active(pt))
+            cod_labels.extend((pt, i) for i in self.cod.active(pt))
+        return dom_labels, cod_labels
+
+    def block(self, dom_labels, cod_labels):
+        """Matrix of the operator between lists of (point, slot) labels."""
+        dpos = {l: i for i, l in enumerate(dom_labels)}
+        cpos = {l: i for i, l in enumerate(cod_labels)}
+        mat = np.zeros((len(cod_labels), len(dom_labels)), dtype=complex)
+        for pt in dict.fromkeys(pt for pt, _ in dom_labels):
+            m, d_a, c_a = self.fiber(pt)
+            for r, i in enumerate(c_a):
+                for c, j in enumerate(d_a):
+                    mat[cpos[(pt, i)], dpos[(pt, j)]] = m[r, c]
+        return mat
+
+    def pad_pair(self, other: "FiberedLatticeOp", n_dom: int, n_cod: int):
+        """Both operators with zero-mapped auxiliary slots at shared fresh points.
+
+        Returns (padded self, padded other, aux domain labels, aux codomain
+        labels).
+        """
+        probe1, probe2 = self.probe_box(margin=4), other.probe_box(margin=4)
+        base = max(max(hi for _, hi in probe1.axes), max(hi for _, hi in probe2.axes))
         aux_pts = [tuple(base + 2 * k for _ in range(self.dim)) for k in range(max(n_dom, n_cod))]
-        dom_slots = [(s.name, s.support) for s in self.dom.slots]
-        cod_slots = [(s.name, s.support) for s in self.cod.slots]
-        for k in range(n_dom):
-            dom_slots.append(
-                (f"_auxd{k}", BoxUnion(self.dim, [Box(tuple((x, x + 1) for x in aux_pts[k]))]))
-            )
-        for k in range(n_cod):
-            cod_slots.append(
-                (f"_auxc{k}", BoxUnion(self.dim, [Box(tuple((x, x + 1) for x in aux_pts[k]))]))
-            )
-        entries = {key: list(pairs) for key, pairs in self.entries.items()}
-        padded = FiberedLatticeOp(SlotSpace(dom_slots), SlotSpace(cod_slots), entries)
-        return padded, list(range(len(self.dom))), list(range(len(self.cod)))
+        aux = [BoxUnion(self.dim, [Box(tuple((x, x + 1) for x in pt))]) for pt in aux_pts]
+        out = []
+        for T in (self, other):
+            dom_slots = [(s.name, s.support) for s in T.dom.slots]
+            cod_slots = [(s.name, s.support) for s in T.cod.slots]
+            dom_slots += [(f"_auxd{k}", aux[k]) for k in range(n_dom)]
+            cod_slots += [(f"_auxc{k}", aux[k]) for k in range(n_cod)]
+            entries = {key: list(pairs) for key, pairs in T.entries.items()}
+            out.append(FiberedLatticeOp(SlotSpace(dom_slots), SlotSpace(cod_slots), entries))
+        aux_dom = [(aux_pts[k], len(self.dom) + k) for k in range(n_dom)]
+        aux_cod = [(aux_pts[k], len(self.cod) + k) for k in range(n_cod)]
+        return out[0], out[1], aux_dom, aux_cod
 
     # -- scalar invariants ----------------------------------------------------
 
@@ -532,16 +587,3 @@ class FiberedLatticeOp:
 
     def __repr__(self):
         return f"FiberedLatticeOp({len(self.cod)}x{len(self.dom)}, dim={self.dim})"
-
-
-def compose(a: FiberedLatticeOp, b: FiberedLatticeOp) -> FiberedLatticeOp:
-    """Operator composition a after b."""
-    return a.compose(b)
-
-
-def add(a: FiberedLatticeOp, b: FiberedLatticeOp) -> FiberedLatticeOp:
-    return a.add(b)
-
-
-def scale(c, a: FiberedLatticeOp) -> FiberedLatticeOp:
-    return a.scale(c)

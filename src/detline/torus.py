@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._intervals import Box, BoxUnion
 from .errors import IdealViolation
 from .lattice import FiberedLatticeOp, SlotSpace
@@ -88,30 +86,28 @@ def sigma_region(lam: SigmaIndex, x: RingIdempotent) -> BoxUnion:
     return quadrant(a=lam.g.a, b=x.u.b)
 
 
+def indicator_op(region: BoxUnion, coeff=1.0) -> FiberedLatticeOp:
+    """coeff times the indicator of region, as a one-slot diagonal operator."""
+    space = SlotSpace([("h", BoxUnion.full(2))])
+    return FiberedLatticeOp(space, space, {(0, 0): _region_pairs(region, coeff)})
+
+
 def projection_P(g: Monomial2) -> FiberedLatticeOp:
     """Conjugated half-plane projection P_g as a one-slot operator."""
-    region = quadrant(a=g.a)
-    space = SlotSpace([("h", BoxUnion.full(2))])
-    return FiberedLatticeOp(space, space, {(0, 0): [(1.0, b) for b in region.canonical_boxes()]})
+    return indicator_op(quadrant(a=g.a))
 
 
 def projection_Q(u: Monomial2) -> FiberedLatticeOp:
-    region = quadrant(b=u.b)
-    space = SlotSpace([("h", BoxUnion.full(2))])
-    return FiberedLatticeOp(space, space, {(0, 0): [(1.0, b) for b in region.canonical_boxes()]})
+    return indicator_op(quadrant(b=u.b))
 
 
 def sigma_apply(k: Monomial2, x: RingIdempotent) -> FiberedLatticeOp:
     """The canonical admissible representation on generators and the unit."""
-    region = sigma_region(SigmaIndex(k), x)
-    space = SlotSpace([("h", BoxUnion.full(2))])
-    return FiberedLatticeOp(
-        space, space, {(0, 0): [(1.0, b) for b in region.canonical_boxes()]}
-    )
+    return indicator_op(sigma_region(SigmaIndex(k), x))
 
 
-def _region_pairs(region: BoxUnion):
-    return [(1.0, b) for b in region.canonical_boxes()]
+def _region_pairs(region: BoxUnion, coeff=1.0):
+    return [(coeff, b) for b in region.canonical_boxes()]
 
 
 def _check_ideal(p: RingIdempotent, q: RingIdempotent):
@@ -119,45 +115,48 @@ def _check_ideal(p: RingIdempotent, q: RingIdempotent):
         raise IdealViolation("idempotents do not differ by an ideal element")
 
 
-def Omega_op(lam: SigmaIndex, mu: SigmaIndex, p: RingIdempotent) -> FiberedLatticeOp:
-    """The involution-like operator on pi_lam(p)H + pi_mu(p)H."""
-    A = sigma_region(lam, p)
-    B = sigma_region(mu, p)
-    dom = SlotSpace([("lam", A), ("mu", B)])
+def _slot_pair(lams, pair):
+    i, j = pair
+    if not (0 <= i < j < len(lams)):
+        raise ValueError("need 0 <= i < j < n")
+    return i, j
+
+
+def _omega_entries(lams, pair, ps, A, B):
+    """Entries of the n-slot Omega^{ij} block on regions A (slot i), B (slot j).
+
+    The swap on A cap B, +1 on A minus B, -1 on B minus A, and the identity
+    on every other slot k, supported on pi_{lam_k}(p_k).
+    """
+    i, j = pair
     inter = A.intersect(B)
     entries = {
-        (0, 0): _region_pairs(A.subtract(inter)),
-        (0, 1): _region_pairs(inter),
-        (1, 0): _region_pairs(inter),
-        (1, 1): [(-1.0, b) for b in B.subtract(inter).canonical_boxes()],
+        (i, i): _region_pairs(A.subtract(inter)),
+        (i, j): _region_pairs(inter),
+        (j, i): _region_pairs(inter),
+        (j, j): _region_pairs(B.subtract(inter), -1.0),
     }
-    return FiberedLatticeOp(dom, dom, entries)
+    for k in range(len(lams)):
+        if k != i and k != j:
+            entries[(k, k)] = _region_pairs(sigma_region(lams[k], ps[k]))
+    return entries
+
+
+def Omega_op(lam: SigmaIndex, mu: SigmaIndex, p: RingIdempotent) -> FiberedLatticeOp:
+    """The involution-like operator on pi_lam(p)H + pi_mu(p)H."""
+    return big_Omega((lam, mu), (0, 1), (p, p))
 
 
 def F_op(
     lam: SigmaIndex, mu: SigmaIndex, p: RingIdempotent, q: RingIdempotent
 ) -> FiberedLatticeOp:
     """F(lam,mu)(p,q): pi_lam(p)H + pi_mu(q)H -> pi_lam(q)H + pi_mu(p)H."""
-    _check_ideal(p, q)
-    A = sigma_region(lam, RingIdempotent.unit())
-    B = sigma_region(mu, RingIdempotent.unit())
-    inter = A.intersect(B)
-    omega = {
-        (0, 0): [(1.0, b) for b in A.subtract(inter).canonical_boxes()],
-        (0, 1): _region_pairs(inter),
-        (1, 0): _region_pairs(inter),
-        (1, 1): [(-1.0, b) for b in B.subtract(inter).canonical_boxes()],
-    }
-    dom = SlotSpace([("lam_p", sigma_region(lam, p)), ("mu_q", sigma_region(mu, q))])
-    cod = SlotSpace([("lam_q", sigma_region(lam, q)), ("mu_p", sigma_region(mu, p))])
-    return FiberedLatticeOp(dom, cod, omega)
+    return big_F((lam, mu), (0, 1), (p, q))
 
 
 def big_F(lams, pair, ps) -> FiberedLatticeOp:
     """n-slot F^{ij}: the (i,j) block is F(lam_i,lam_j)(p_i,p_j), rest diagonal."""
-    i, j = pair
-    if not (0 <= i < j < len(lams)):
-        raise ValueError("need 0 <= i < j < n")
+    i, j = _slot_pair(lams, pair)
     _check_ideal(ps[i], ps[j])
     n = len(lams)
     tau = list(range(n))
@@ -170,78 +169,37 @@ def big_F(lams, pair, ps) -> FiberedLatticeOp:
     )
     A = sigma_region(lams[i], RingIdempotent.unit())
     B = sigma_region(lams[j], RingIdempotent.unit())
-    inter = A.intersect(B)
-    entries = {
-        (i, i): [(1.0, b) for b in A.subtract(inter).canonical_boxes()],
-        (i, j): _region_pairs(inter),
-        (j, i): _region_pairs(inter),
-        (j, j): [(-1.0, b) for b in B.subtract(inter).canonical_boxes()],
-    }
-    for k in range(n):
-        if k != i and k != j:
-            entries[(k, k)] = _region_pairs(sigma_region(lams[k], ps[k]))
-    return FiberedLatticeOp(dom, cod, entries)
+    return FiberedLatticeOp(dom, cod, _omega_entries(lams, pair, ps, A, B))
 
 
 def big_Omega(lams, pair, ps) -> FiberedLatticeOp:
     """n-slot Omega^{ij} on +_k pi_{lam_k}(p_k)H with p_i = p_j."""
-    i, j = pair
-    if not (0 <= i < j < len(lams)):
-        raise ValueError("need 0 <= i < j < n")
+    i, j = _slot_pair(lams, pair)
     if ps[i] != ps[j]:
         raise IdealViolation("Omega^{ij} needs equal idempotents at i and j")
-    n = len(lams)
-    dom = SlotSpace([(f"s{k}", sigma_region(lams[k], ps[k])) for k in range(n)])
+    dom = SlotSpace([(f"s{k}", sigma_region(lams[k], ps[k])) for k in range(len(lams))])
     A = sigma_region(lams[i], ps[i])
     B = sigma_region(lams[j], ps[j])
-    inter = A.intersect(B)
-    entries = {
-        (i, i): [(1.0, b) for b in A.subtract(inter).canonical_boxes()],
-        (i, j): _region_pairs(inter),
-        (j, i): _region_pairs(inter),
-        (j, j): [(-1.0, b) for b in B.subtract(inter).canonical_boxes()],
-    }
-    for k in range(n):
-        if k != i and k != j:
-            entries[(k, k)] = _region_pairs(sigma_region(lams[k], ps[k]))
-    return FiberedLatticeOp(dom, dom, entries)
+    return FiberedLatticeOp(dom, dom, _omega_entries(lams, pair, ps, A, B))
 
 
 def gamma_projection(n: int, m: int, t: int, s: int) -> FiberedLatticeOp:
-    """Finite-rank projection (P_{z1^m} - P_{z1^n})(Q_{z2^s} - Q_{z2^t})."""
-    space = SlotSpace([("h", BoxUnion.full(2))])
-    if n == m or t == s:
-        return FiberedLatticeOp.zero(space, space)
-    region = BoxUnion(2, [Box(((m, n), (s, t)))])
-    return FiberedLatticeOp(space, space, {(0, 0): _region_pairs(region)})
+    """Finite-rank projection (P_{z1^m} - P_{z1^n})(Q_{z2^s} - Q_{z2^t}).
 
-
-def diagonal_difference_P(n: int) -> FiberedLatticeOp:
-    """P - P_{z1^n} as a one-slot diagonal operator."""
-    space = SlotSpace([("h", BoxUnion.full(2))])
-    region = quadrant(a=0).subtract(quadrant(a=n))
-    sign = 1.0 if n >= 0 else -1.0
-    return FiberedLatticeOp(
-        space,
-        space,
-        {(0, 0): [(sign, b) for b in quadrant(a=min(0, n)).subtract(quadrant(a=max(0, n))).canonical_boxes()]},
-    )
-
-
-def diagonal_difference_Q(m: int) -> FiberedLatticeOp:
-    space = SlotSpace([("h", BoxUnion.full(2))])
-    sign = 1.0 if m >= 0 else -1.0
-    return FiberedLatticeOp(
-        space,
-        space,
-        {(0, 0): [(sign, b) for b in quadrant(b=min(0, m)).subtract(quadrant(b=max(0, m))).canonical_boxes()]},
-    )
+    The box is empty, and the operator zero, unless m < n and s < t.
+    """
+    return indicator_op(BoxUnion(2, [Box(((m, n), (s, t)))]))
 
 
 def commutator_trace_norm(n: int, m: int) -> float:
     """Trace norm of (P - P_{z1^n})(Q - Q_{z2^m})."""
-    prod = diagonal_difference_P(n).compose(diagonal_difference_Q(m))
-    return prod.trace_norm()
+    p_diff = indicator_op(
+        quadrant(a=min(0, n)).subtract(quadrant(a=max(0, n))), 1.0 if n >= 0 else -1.0
+    )
+    q_diff = indicator_op(
+        quadrant(b=min(0, m)).subtract(quadrant(b=max(0, m))), 1.0 if m >= 0 else -1.0
+    )
+    return p_diff.compose(q_diff).trace_norm()
 
 
 def bipolar_verify(g: Monomial2, h: Monomial2, u: Monomial2, v: Monomial2) -> dict:
@@ -270,13 +228,13 @@ def assumption_check(triples) -> dict:
         qu = RingIdempotent.generator(u)
         qv = RingIdempotent.generator(v)
         one = RingIdempotent.unit()
-        d1 = sigma_apply_region_op(lam, qu).compose(sigma_apply_region_op(mu, one)).sub(
-            sigma_apply_region_op(lam, one).compose(sigma_apply_region_op(mu, qu))
+        d1 = sigma_apply(lam.g, qu).compose(sigma_apply(mu.g, one)).sub(
+            sigma_apply(lam.g, one).compose(sigma_apply(mu.g, qu))
         )
-        ideal = sigma_apply_region_op(lam, qu).sub(sigma_apply_region_op(lam, qv))
-        d2 = ideal.compose(sigma_apply_region_op(mu, one)).compose(
-            sigma_apply_region_op(nu, one)
-        ).sub(ideal.compose(sigma_apply_region_op(nu, one)))
+        ideal = sigma_apply(lam.g, qu).sub(sigma_apply(lam.g, qv))
+        d2 = ideal.compose(sigma_apply(mu.g, one)).compose(
+            sigma_apply(nu.g, one)
+        ).sub(ideal.compose(sigma_apply(nu.g, one)))
         results.append(
             {
                 "condition1_finite": d1.is_finite_box(),
@@ -291,10 +249,3 @@ def assumption_check(triples) -> dict:
             r["condition1_finite"] and r["condition2_finite"] for r in results
         ),
     }
-
-
-def sigma_apply_region_op(lam: SigmaIndex, x: RingIdempotent) -> FiberedLatticeOp:
-    """sigma_{lam}(x) as a one-slot diagonal operator on the full lattice."""
-    region = sigma_region(lam, x)
-    space = SlotSpace([("h", BoxUnion.full(2))])
-    return FiberedLatticeOp(space, space, {(0, 0): _region_pairs(region)})

@@ -7,9 +7,6 @@ verify --suite ...`; the test suite drives the same code.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from . import cocycle3 as c3
@@ -35,23 +32,10 @@ from .torus import (
 from .windows import DenseOp
 
 
-def thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("DETLINE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _run_trials(fn, trials, seed):
     """Evaluate fn(trial_rng) per trial, returning the max error."""
     seeds = np.random.SeedSequence(seed).spawn(max(trials, 0))
-    cap = thread_cap()
-    if cap > 1 and trials > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            errs = list(pool.map(lambda s: fn(np.random.default_rng(s)), seeds))
-    else:
-        errs = [fn(np.random.default_rng(s)) for s in seeds]
-    return max(errs, default=0.0)
+    return max((fn(np.random.default_rng(s)) for s in seeds), default=0.0)
 
 
 def _check(name, err, tol=1e-9):

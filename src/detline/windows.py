@@ -20,6 +20,8 @@ with pivot rows q.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import _linalg
@@ -114,50 +116,75 @@ class DenseOp:
 
     # -- vector interface -----------------------------------------------------
 
-    def _dvec(self, vec, labels):
-        out = np.zeros(len(labels), dtype=complex)
-        pos = {l: i for i, l in enumerate(labels)}
-        for l, c in vec.items():
-            out[pos[l]] = c
-        return out
+    @cached_property
+    def _dom_pos(self):
+        return {l: i for i, l in enumerate(self.dom_labels)}
+
+    @cached_property
+    def _cod_pos(self):
+        return {l: i for i, l in enumerate(self.cod_labels)}
+
+    def _dmat(self, vecs, pos):
+        """The vectors as the columns of a matrix, rows in label order."""
+        out = np.zeros((len(vecs), len(pos)), dtype=complex)
+        for r, vec in enumerate(vecs):
+            for l, val in vec.items():
+                out[r, pos[l]] = val
+        return out.T
 
     def apply(self, vec):
-        return _sparse(self.matrix @ self._dvec(vec, self.dom_labels), self.cod_labels)
-
-    def _dmat(self, vecs, labels):
-        return np.array(
-            [self._dvec(v, labels) for v in vecs], dtype=complex
-        ).T.reshape(len(labels), len(vecs))
+        return _sparse(self.matrix @ self._dmat([vec], self._dom_pos)[:, 0], self.cod_labels)
 
     def express_in_kernel(self, vecs):
         """Coordinates of kernel vectors in the echelon kernel frame."""
         self.presentation()
-        rhs = self._dmat(vecs, self.dom_labels)
-        return np.linalg.lstsq(self._ker_frame, rhs, rcond=None)[0]
+        return _linalg.solve_exact(self._ker_frame, self._dmat(vecs, self._dom_pos))
 
     def coker_coords(self, vecs):
         """Cokernel-class coordinates of codomain vectors."""
         self.presentation()
-        return self._coker_proj @ self._dmat(vecs, self.cod_labels)
+        return self._coker_proj @ self._dmat(vecs, self._cod_pos)
 
-    # -- padding ---------------------------------------------------------------
+    # -- perturbation blocks and padding --------------------------------------
 
-    def pad(self, n_dom: int, n_cod: int):
-        dom = self.dom_labels + [("auxd", k) for k in range(n_dom)]
-        cod = self.cod_labels + [("auxc", k) for k in range(n_cod)]
-        mat = np.zeros((len(cod), len(dom)), dtype=complex)
-        mat[: len(self.cod_labels), : len(self.dom_labels)] = self.matrix
-        return DenseOp(dom, cod, mat, self.tol), list(range(len(self.dom_labels))), list(
-            range(len(self.cod_labels))
-        )
+    def label_key(self, label):
+        """Sort key of a domain label: its position (one fiber per window)."""
+        return (0, self._dom_pos[label])
+
+    def is_zero(self) -> bool:
+        return not self.matrix.size or np.max(np.abs(self.matrix)) <= 1e-9
+
+    def is_finite_box(self) -> bool:
+        """A window is finite: every difference of windows is trace class."""
+        return True
+
+    def pert_labels(self, other: "DenseOp", images):
+        """The whole window carries the perturbation determinant."""
+        return self.dom_labels, self.cod_labels
+
+    def block(self, dom_labels, cod_labels):
+        """Matrix of the operator between lists of window labels."""
+        rows = [self._cod_pos[l] for l in cod_labels]
+        cols = [self._dom_pos[l] for l in dom_labels]
+        return self.matrix[np.ix_(rows, cols)]
+
+    def pad_pair(self, other: "DenseOp", n_dom: int, n_cod: int):
+        """Both windows with zero-mapped auxiliary labels ("auxd", k), ("auxc", k).
+
+        Returns (padded self, padded other, aux domain labels, aux codomain
+        labels).
+        """
+        aux_dom = [("auxd", k) for k in range(n_dom)]
+        aux_cod = [("auxc", k) for k in range(n_cod)]
+        out = []
+        for T in (self, other):
+            mat = np.zeros((len(T.cod_labels) + n_cod, len(T.dom_labels) + n_dom), dtype=complex)
+            mat[: len(T.cod_labels), : len(T.dom_labels)] = T.matrix
+            out.append(DenseOp(T.dom_labels + aux_dom, T.cod_labels + aux_cod, mat, T.tol))
+        return out[0], out[1], aux_dom, aux_cod
 
     def __repr__(self):
         return f"DenseOp({len(self.cod_labels)}x{len(self.dom_labels)})"
-
-
-def window_kernel_cokernel(op: DenseOp, tol=SVD_TOL):
-    """SVD kernel/cokernel of a windowed operator at a given threshold."""
-    return DenseOp(op.dom_labels, op.cod_labels, op.matrix, tol).kernel_cokernel()
 
 
 def window_det(op: DenseOp) -> complex:

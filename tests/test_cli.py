@@ -1,11 +1,17 @@
 """Command-line interface: parsing, exit codes, determinism."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from detline import circle as ci
 from detline.cli import main, parse_loop, parse_monomial2
 from detline.errors import ParseError
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -85,6 +91,32 @@ def test_tame_command_laurent_pair(capsys):
     assert abs(pipe - want) <= 1e-6 * abs(want)
 
 
+def test_tame_command_exits_1_on_oracle_mismatch(capsys, monkeypatch):
+    ci.convention_exponent(48)  # probe the orientation with the true integral
+    formula = ci.tame_symbol_formula
+    monkeypatch.setattr(
+        ci, "tame_symbol_formula", lambda u, v, q_points: formula(u, v, q_points) * (1 + 1e-4)
+    )
+    code, out = run(capsys, "tame", "z", "(2,0)", "--numeric", "48", "--qpoints", "2048")
+    assert code == 1
+    assert set(json.loads(out)) == {"determinant_pipeline", "integral_formula", "convention_exponent"}
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("cocycle3", ["cocycle3", "(2,0)", "(1,0)*z1", "(1,0)*z2"]),
+        ("pair", ["pair", "(1,0)*z1", "(1,0)*z2", "(1,1)"]),
+        ("verify_bipolar", ["verify", "--suite", "bipolar", "--trials", "20", "--seed", "0"]),
+    ],
+)
+def test_readme_commands_match_golden_bytes(name, argv):
+    # stdout of the README examples that do not depend on LAPACK rounding
+    res = subprocess.run([sys.executable, "-m", "detline.cli", *argv], capture_output=True)
+    assert res.returncode == 0
+    assert res.stdout == (GOLDEN / f"{name}.json").read_bytes()
+
+
 def test_verify_command_and_determinism(capsys):
     code1, out1 = run(capsys, "verify", "--suite", "bipolar", "--trials", "4", "--seed", "3")
     code2, out2 = run(capsys, "verify", "--suite", "bipolar", "--trials", "4", "--seed", "3")
@@ -98,9 +130,6 @@ def test_verify_command_and_determinism(capsys):
 
 
 def test_cross_process_determinism():
-    import subprocess
-    import sys
-
     cmd = [sys.executable, "-m", "detline.cli", "verify", "--suite", "cocycle", "--trials", "3", "--seed", "12"]
     a = subprocess.run(cmd, capture_output=True, text=True)
     b = subprocess.run(cmd, capture_output=True, text=True)

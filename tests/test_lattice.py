@@ -7,7 +7,7 @@ from detline._intervals import Box, BoxUnion
 from detline.errors import NotDeterminantClass, NotFiniteRank, ShapeMismatch
 from detline.lattice import FiberedLatticeOp, SlotSpace
 from detline.torus import quadrant
-from detline.windows import DenseOp, window_det, window_kernel_cokernel
+from detline.windows import DenseOp, window_det
 from detline import circle as ci
 
 
@@ -157,7 +157,7 @@ def test_window_shifted_identity():
     # bilateral shift between shifted windows: bijective, index zero
     n = 32
     op = DenseOp(list(range(n)), list(range(1, n + 1)), np.eye(n))
-    ker, coker = window_kernel_cokernel(op)
+    ker, coker = op.kernel_cokernel()
     assert ker == [] and coker == [] and op.index() == 0
     assert window_det(DenseOp(list(range(n)), list(range(n)), np.eye(n))) == pytest.approx(1.0)
 
@@ -174,6 +174,28 @@ def test_window_compression_of_shift():
     u = ci.Loop.laurent([2.0, 1.0], 0)
     op = ci.WindowContext(24).toeplitz(u, one, 24)
     assert op.index() == -ci.winding_number(u) == 0
+
+
+def test_window_toeplitz_matches_entrywise_reference():
+    # a rectangular compression wider than the symbol band
+    u = ci.Loop.laurent([0.3, 2.0, 0.5], -1)
+    v = ci.Loop.monomial(2.0, 3)
+    op = ci.WindowContext(20, band=6).toeplitz(u, v, 20)
+    coeffs, _ = ci.symbol_coeffs(u, v, 6)
+    ref = np.zeros((17, 20), dtype=complex)
+    for j in range(17):
+        for k in range(20):
+            c = coeffs.get(j - k)
+            if c is not None:
+                ref[j, k] = c
+    assert np.array_equal(op.matrix, ref)
+
+
+def test_window_express_in_kernel_rejects_non_kernel_vectors():
+    op = DenseOp([0, 1, 2], [0, 1], [[1, 0, 0], [0, 1, 0]])
+    assert np.allclose(op.express_in_kernel([{2: 2.0}]), [[2.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        op.express_in_kernel([{0: 1, 2: 1}])
 
 
 def _dense_frame(vecs, labels):

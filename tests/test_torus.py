@@ -146,11 +146,9 @@ def test_assumption_check_samples():
     assert rep["all_finite"]
     # the unit case is exactly zero
     lam, mu = SigmaIndex(rmono()), SigmaIndex(rmono())
-    from detline.torus import sigma_apply_region_op
-
     one = RingIdempotent.unit()
-    d = sigma_apply_region_op(lam, one).compose(sigma_apply_region_op(mu, one)).sub(
-        sigma_apply_region_op(mu, one).compose(sigma_apply_region_op(lam, one))
+    d = sigma_apply(lam.g, one).compose(sigma_apply(mu.g, one)).sub(
+        sigma_apply(mu.g, one).compose(sigma_apply(lam.g, one))
     )
     assert not d.entries
 
