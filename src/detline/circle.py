@@ -121,9 +121,7 @@ def symbol_coeffs(u: Loop, v: Loop, band: int, grid=GRID):
     out = {}
     for k in range(-band, band + 1):
         out[k] = complex(c[k % grid])
-    tail = max(
-        (abs(c[k % grid]) for k in range(band + 1, grid - band)), default=0.0
-    )
+    tail = np.max(np.abs(c[band + 1 : grid - band]), initial=0.0)
     return out, float(tail)
 
 

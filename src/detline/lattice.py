@@ -3,15 +3,18 @@
 Operators here are block matrices between "slot spaces": ordered lists of
 slots, each carrying a sub-lattice support (a union of integer boxes).
 Every matrix entry is a finite sum of coefficient * box-indicator, so the
-operator is block-diagonal over lattice fibers and all kernel/cokernel,
-index, determinant and trace-norm computations reduce to finite per-fiber
-linear algebra plus a certification of the asymptotic regions.
+operator is block-diagonal over lattice fibers, and its fiber is constant on
+each cell of the grid cut at its breakpoints.  All kernel/cokernel, index,
+determinant and trace-norm computations reduce to finite linear algebra once
+per bounded grid cell plus a certification of the unbounded cells.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -26,6 +29,18 @@ from .errors import (
 )
 
 COEFF_TOL = 1e-12
+# |det| at or below which a fiber is singular: an unbounded cell's makes the
+# operator non-Fredholm, a bounded cell's is exceptional in a perturbation.
+SINGULAR_DET_TOL = 1e-10
+# Entrywise distance to the identity allowed on the unbounded cells of a
+# determinant-class operator; their determinants are taken to be 1.
+IDENTITY_TOL = 1e-10
+# Two fibers are equal when their entries differ by at most this times the
+# larger of 1 and the first one's largest entry: the roundoff of box sums.
+FIBER_EQ_TOL = 1e-12
+# |det| at or below which `inverse` refuses a fiber: entries are O(1), so
+# a smaller determinant would give inverse entries beyond float accuracy.
+INVERTIBLE_DET_TOL = 1e-12
 
 
 def pt_key(pt):
@@ -110,10 +125,39 @@ def _canonical_cells(pairs, support: BoxUnion):
     return tuple(out)
 
 
+def _grid_cells(cuts, bounded):
+    """(box, point in it) of each bounded, or else unbounded, grid cell.
+
+    `cuts` holds the sorted breakpoints of each axis; cell i of an axis
+    spans [cuts[i-1], cuts[i]), unbounded below for i = 0 and above for
+    i = len(cuts).
+    """
+    ranges = [range(1, len(c)) if bounded else range(len(c) + 1) for c in cuts]
+    for idx in itertools.product(*ranges):
+        if bounded or not all(0 < i < len(c) for c, i in zip(cuts, idx)):
+            box = Box(tuple(
+                (c[i - 1] if i else None, c[i] if i < len(c) else None)
+                for c, i in zip(cuts, idx)
+            ))
+            yield box, _cell_rep(box)
+
+
+def _box_size(box: Box) -> int:
+    return prod(hi - lo for lo, hi in box.axes)
+
+
+def _index_by_point(vecs):
+    """Positions of one-point vectors grouped by their point."""
+    out = {}
+    for k, vec in enumerate(vecs):
+        out.setdefault(next(iter(vec))[0], []).append(k)
+    return out
+
+
 class FiberedLatticeOp:
     """Block operator with box-indicator entries, fiber-diagonal on Z^d."""
 
-    def __init__(self, dom: SlotSpace, cod: SlotSpace, entries, _canonical=False):
+    def __init__(self, dom: SlotSpace, cod: SlotSpace, entries):
         if dom.slots and cod.slots and dom.dim != cod.dim:
             raise ShapeMismatch("domain/codomain lattice dimension mismatch")
         self.dom = dom
@@ -123,16 +167,15 @@ class FiberedLatticeOp:
         for (i, j), pairs in entries.items():
             if not (0 <= i < len(cod) and 0 <= j < len(dom)):
                 raise ShapeMismatch("entry index out of range")
-            if _canonical:
-                cells = tuple(pairs)
-            else:
-                sup = cod.slots[i].support.intersect(dom.slots[j].support)
-                cells = _canonical_cells(list(pairs), sup)
+            sup = cod.slots[i].support.intersect(dom.slots[j].support)
+            cells = _canonical_cells(list(pairs), sup)
             if cells:
                 ents[(i, j)] = cells
         self.entries = ents
         self._pres = None
         self._cert = None
+        self._cuts = None
+        self._fibers = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -162,76 +205,56 @@ class FiberedLatticeOp:
 
     # -- elementary algebra ---------------------------------------------------
 
-    def entry_value(self, i, j, pt):
-        val = 0.0
-        for c, b in self.entries.get((i, j), ()):
-            if b.contains(pt):
-                val += c
-        return val
-
     def fiber(self, pt):
-        """Fiber matrix at pt together with active slot index lists."""
-        cache = getattr(self, "_fiber_cache", None)
-        if cache is None:
-            cache = self._fiber_cache = {}
-        hit = cache.get(pt)
-        if hit is not None:
-            return hit
-        dom_active = self.dom.active(pt)
-        cod_active = self.cod.active(pt)
-        mat = np.zeros((len(cod_active), len(dom_active)), dtype=complex)
-        for r, i in enumerate(cod_active):
-            for cix, j in enumerate(dom_active):
-                mat[r, cix] = self.entry_value(i, j, pt)
-        cache[pt] = (mat, dom_active, cod_active)
-        return cache[pt]
+        """Fiber matrix at pt with its active slot index lists.
 
-    def _fiber_batch(self, pts):
-        """Vectorised fiber construction for a list of lattice points."""
-        cache = getattr(self, "_fiber_cache", None)
-        if cache is None:
-            cache = self._fiber_cache = {}
-        todo = [pt for pt in pts if pt not in cache]
-        if todo:
-            arr = np.array(todo, dtype=np.int64).reshape(len(todo), self.dim)
+        The fiber is constant on each cell of the grid cut at the sorted
+        breakpoints; the fibers of all cells are built on first use.
+        """
+        if self._fibers is None:
+            self._fibers = self._cell_fibers()
+        return self._fibers[tuple(bisect_right(c, x) for c, x in zip(self._grid(), pt))]
 
-            def memb(region):
-                out = np.zeros(len(todo), dtype=bool)
-                for box in region.canonical_boxes():
-                    m = np.ones(len(todo), dtype=bool)
-                    for ax, (lo, hi) in enumerate(box.axes):
-                        if lo is not None:
-                            m &= arr[:, ax] >= lo
-                        if hi is not None:
-                            m &= arr[:, ax] < hi
-                    out |= m
-                return out
+    def _cell_fibers(self):
+        """Fiber of every grid cell, keyed by its per-axis bisect index."""
+        cuts = self._grid()
+        shape = tuple(len(c) + 1 for c in cuts)
+        size = prod(shape)
 
-            dom_m = [memb(s.support) for s in self.dom.slots]
-            cod_m = [memb(s.support) for s in self.cod.slots]
-            vals = {}
-            for (i, j), pairs in self.entries.items():
-                v = np.zeros(len(todo), dtype=complex)
-                for c, b in pairs:
-                    m = np.ones(len(todo), dtype=bool)
-                    for ax, (lo, hi) in enumerate(b.axes):
-                        if lo is not None:
-                            m &= arr[:, ax] >= lo
-                        if hi is not None:
-                            m &= arr[:, ax] < hi
-                    v[m] += c
-                vals[(i, j)] = v
-            for k, pt in enumerate(todo):
-                dom_a = [j for j in range(len(self.dom)) if dom_m[j][k]]
-                cod_a = [i for i in range(len(self.cod)) if cod_m[i][k]]
-                mat = np.zeros((len(cod_a), len(dom_a)), dtype=complex)
-                for r, i in enumerate(cod_a):
-                    for cix, j in enumerate(dom_a):
-                        ent = vals.get((i, j))
-                        if ent is not None:
-                            mat[r, cix] = ent[k]
-                cache[pt] = (mat, dom_a, cod_a)
-        return [cache[pt] for pt in pts]
+        def cover(box):  # cells inside a box whose bounds are breakpoints
+            return tuple(
+                slice(
+                    0 if lo is None else bisect_right(c, lo),
+                    len(c) + 1 if hi is None else bisect_right(c, hi),
+                )
+                for c, (lo, hi) in zip(cuts, box.axes)
+            )
+
+        def active(space):  # per cell, one membership flag per slot
+            masks = np.zeros((len(space),) + shape, dtype=bool)
+            for k, s in enumerate(space.slots):
+                for b in s.support.boxes:
+                    masks[(k,) + cover(b)] = True
+            return masks.reshape(len(space), size).T.tolist()
+
+        vals = {}
+        for key, pairs in self.entries.items():
+            v = np.zeros(shape, dtype=complex)
+            for c, b in pairs:
+                v[cover(b)] += c
+            vals[key] = v.ravel().tolist()
+        fibers = {}
+        cells = zip(np.ndindex(shape), active(self.dom), active(self.cod))
+        for n, (idx, dom_in, cod_in) in enumerate(cells):
+            dom_a = [j for j, a in enumerate(dom_in) if a]
+            cod_a = [i for i, a in enumerate(cod_in) if a]
+            mat = np.zeros((len(cod_a), len(dom_a)), dtype=complex)
+            for r, i in enumerate(cod_a):
+                for cix, j in enumerate(dom_a):
+                    if (i, j) in vals:
+                        mat[r, cix] = vals[(i, j)][n]
+            fibers[idx] = (mat, dom_a, cod_a)
+        return fibers
 
     def compose(self, other: "FiberedLatticeOp") -> "FiberedLatticeOp":
         """self after other (matrix product self @ other)."""
@@ -269,7 +292,7 @@ class FiberedLatticeOp:
     def sub(self, other: "FiberedLatticeOp") -> "FiberedLatticeOp":
         return self.add(other.scale(-1.0))
 
-    # -- probe geometry -------------------------------------------------------
+    # -- grid cells and probe geometry ----------------------------------------
 
     def breakpoints(self, axis):
         pts = set()
@@ -285,56 +308,25 @@ class FiberedLatticeOp:
         return pts
 
     def probe_box(self, margin=2) -> Box:
-        axes = []
-        for ax in range(self.dim):
-            pts = self.breakpoints(ax)
-            if pts:
-                axes.append((min(pts) - margin, max(pts) + margin))
-            else:
-                axes.append((0, 1))
-        return Box(tuple(axes))
+        return Box(tuple((c[0] - margin, c[-1] + margin) if c else (0, 1) for c in self._grid()))
 
     def probe_points(self):
         return list(self.probe_box().points())
 
-    def _asymptotic_reps(self, margin=8):
-        """Representative points of the unbounded regions outside the probe."""
-        probe = self.probe_box()
-        per_axis = []
-        for lo, hi in probe.axes:
-            per_axis.append(
-                [("lo", lo - margin), ("mid", None), ("hi", hi + margin - 1)]
-            )
-        reps = []
-        for combo in itertools.product(*per_axis):
-            if all(tag == "mid" for tag, _ in combo):
-                continue
-            mid_axes = [ax for ax, (tag, _) in enumerate(combo) if tag == "mid"]
-            fixed = [val for _, val in combo]
-            if not mid_axes:
-                reps.append(tuple(fixed))
-                continue
-            ranges = []
-            for ax in range(self.dim):
-                if ax in mid_axes:
-                    lo, hi = probe.axes[ax]
-                    ranges.append(range(lo, hi))
-                else:
-                    ranges.append([fixed[ax]])
-            for pt in itertools.product(*ranges):
-                reps.append(tuple(pt))
-        return reps
+    def _grid(self):
+        """Sorted breakpoints per axis: the cuts of the operator's grid cells."""
+        if self._cuts is None:
+            self._cuts = tuple(sorted(self.breakpoints(ax)) for ax in range(self.dim))
+        return self._cuts
 
     def certify_fredholm(self):
-        """Check that all asymptotic fibers are bijective."""
+        """Check that the fiber of every unbounded grid cell is bijective."""
         if self._cert is None:
-            reps = self._asymptotic_reps()
-            self._fiber_batch(reps)
-            for pt in reps:
+            for _, pt in _grid_cells(self._grid(), bounded=False):
                 mat, dom_a, cod_a = self.fiber(pt)
                 if len(dom_a) != len(cod_a):
                     raise NotFredholm(f"non-square asymptotic fiber at {pt}")
-                if len(dom_a) and abs(_linalg.det(mat)) <= 1e-10:
+                if dom_a and abs(_linalg.det(mat)) <= SINGULAR_DET_TOL:
                     raise NotFredholm(f"singular asymptotic fiber at {pt}")
             self._cert = True
         return self._cert
@@ -342,20 +334,34 @@ class FiberedLatticeOp:
     # -- kernel / cokernel ----------------------------------------------------
 
     def presentation(self) -> Presentation:
+        """Kernel basis and cokernel representatives, points in pt_key order.
+
+        Each distinct fiber matrix of the bounded grid cells is eliminated
+        once; the points of its cells share the result.
+        """
         if self._pres is None:
             self.certify_fredholm()
-            ker, coker = [], []
-            pts = self.probe_points()
-            self._fiber_batch(pts)
-            for pt in pts:
+            found, solved = [], {}
+            for box, pt in _grid_cells(self._grid(), bounded=True):
                 mat, dom_a, cod_a = self.fiber(pt)
                 if not dom_a and not cod_a:
                     continue
-                for v in _linalg.nullspace(mat):
-                    ker.append({(pt, dom_a[ix]): v[ix] for ix in range(len(dom_a)) if abs(v[ix]) > COEFF_TOL})
-                for r in _linalg.coker_free_rows(mat):
-                    coker.append({(pt, cod_a[r]): 1.0 + 0.0j})
-            self._pres = Presentation(tuple(ker), tuple(coker))
+                key = (mat.shape, mat.tobytes())
+                if key not in solved:
+                    solved[key] = (_linalg.nullspace(mat), _linalg.coker_free_rows(mat))
+                null, rows = solved[key]
+                ker = [
+                    [(dom_a[ix], x) for ix, x in enumerate(v) if abs(x) > COEFF_TOL]
+                    for v in null
+                ]
+                coker = [cod_a[r] for r in rows]
+                if ker or coker:
+                    found.extend((p, ker, coker) for p in box.points())
+            found.sort(key=lambda f: pt_key(f[0]))
+            self._pres = Presentation(
+                tuple({(p, s): x for s, x in v} for p, ker, _ in found for v in ker),
+                tuple({(p, s): 1.0 + 0.0j} for p, _, coker in found for s in coker),
+            )
         return self._pres
 
     def kernel_cokernel(self):
@@ -388,10 +394,7 @@ class FiberedLatticeOp:
         """Coordinates of the given kernel vectors in the canonical basis."""
         pres = self.presentation()
         out = np.zeros((len(pres.ker), len(vecs)), dtype=complex)
-        ker_by_pt = {}
-        for kix, kv in enumerate(pres.ker):
-            pt = next(iter(kv))[0]
-            ker_by_pt.setdefault(pt, []).append(kix)
+        ker_by_pt = _index_by_point(pres.ker)
         for cix, v in enumerate(vecs):
             by_pt = {}
             for (pt, slot), c in v.items():
@@ -417,26 +420,23 @@ class FiberedLatticeOp:
         """Cokernel-class coordinates of codomain vectors."""
         pres = self.presentation()
         out = np.zeros((len(pres.coker), len(vecs)), dtype=complex)
+        coker_by_pt = _index_by_point(pres.coker)
         for cix, v in enumerate(vecs):
             by_pt = {}
             for (pt, slot), c in v.items():
                 by_pt.setdefault(pt, {})[slot] = c
             for pt, coords in by_pt.items():
                 mat, dom_a, cod_a = self.fiber(pt)
-                reps = [
-                    (kix, rv)
-                    for kix, rv in enumerate(pres.coker)
-                    if next(iter(rv))[0] == pt
-                ]
+                kids = coker_by_pt.get(pt, [])
                 rep_mat = np.array(
-                    [[rv.get((pt, i), 0.0) for _, rv in reps] for i in cod_a],
+                    [[pres.coker[k].get((pt, i), 0.0) for k in kids] for i in cod_a],
                     dtype=complex,
-                ).reshape(len(cod_a), len(reps))
+                ).reshape(len(cod_a), len(kids))
                 aug = np.hstack([mat, rep_mat])
                 rhs = np.array([coords.get(i, 0.0) for i in cod_a], dtype=complex)
                 sol = _linalg.solve_exact(aug, rhs)
-                for ix, (kix, _) in enumerate(reps):
-                    out[kix, cix] += sol[len(dom_a) + ix]
+                for ix, k in enumerate(kids):
+                    out[k, cix] += sol[len(dom_a) + ix]
         return out
 
     # -- perturbation blocks and padding --------------------------------------
@@ -454,27 +454,28 @@ class FiberedLatticeOp:
 
         A fiber is exceptional when the two operators differ there, when
         it is not square or singular, or when it carries a kernel or
-        cokernel vector of either operator or one of the `images`.
+        cokernel vector of either operator or one of the `images`.  The
+        check runs once per bounded cell of the pair's joint grid: on the
+        unbounded cells both operators are certified invertible by their
+        presentations, and they agree there when they differ by a
+        finite-box operator, as `fredlines.perturbation` requires.
         """
         p1, p2 = self.presentation(), other.presentation()
-        axes = zip(self.probe_box().axes, other.probe_box().axes)
-        pts = list(Box(tuple((min(a[0], b[0]), max(a[1], b[1])) for a, b in axes)).points())
-        self._fiber_batch(pts)
-        other._fiber_batch(pts)
+        cuts = tuple(sorted(set(a) | set(b)) for a, b in zip(self._grid(), other._grid()))
         exceptional = set()
-        for pt in pts:
+        for box, pt in _grid_cells(cuts, bounded=True):
             m1, d1, c1 = self.fiber(pt)
-            m2, _, _ = other.fiber(pt)
-            if m1.shape != m2.shape or (
-                m1.size and np.max(np.abs(m1 - m2)) > 1e-12 * max(1.0, np.max(np.abs(m1)))
+            m2 = other.fiber(pt)[0]
+            if (
+                m1.shape != m2.shape
+                or (
+                    m1.size
+                    and np.max(np.abs(m1 - m2)) > FIBER_EQ_TOL * max(1.0, np.max(np.abs(m1)))
+                )
+                or len(d1) != len(c1)
+                or (d1 and abs(_linalg.det(m1)) < SINGULAR_DET_TOL)
             ):
-                exceptional.add(pt)
-                continue
-            if len(d1) != len(c1):
-                exceptional.add(pt)
-                continue
-            if d1 and abs(_linalg.det(m1)) < 1e-10:
-                exceptional.add(pt)
+                exceptional.update(box.points())
         for coll in (p1.ker, p1.coker, p2.ker, p2.coker, images):
             for vec in coll:
                 for (pt, _slot) in vec:
@@ -527,35 +528,33 @@ class FiberedLatticeOp:
         )
 
     def fredholm_det(self) -> complex:
+        """Product over bounded grid cells of det(fiber)^|cell|."""
         if not self.dom.compatible(self.cod):
             raise NotDeterminantClass("domain and codomain differ")
-        reps = self._asymptotic_reps()
-        self._fiber_batch(reps)
-        for pt in reps:
+        for _, pt in _grid_cells(self._grid(), bounded=False):
             mat, dom_a, cod_a = self.fiber(pt)
             if dom_a != cod_a or (
-                mat.size and np.max(np.abs(mat - np.eye(len(dom_a)))) > 1e-10
+                mat.size and np.max(np.abs(mat - np.eye(len(dom_a)))) > IDENTITY_TOL
             ):
                 raise NotDeterminantClass(f"asymptotic fiber at {pt} is not identity")
         val = 1.0 + 0.0j
-        pts = self.probe_points()
-        self._fiber_batch(pts)
-        for pt in pts:
+        for box, pt in _grid_cells(self._grid(), bounded=True):
             mat, dom_a, cod_a = self.fiber(pt)
             if len(dom_a) != len(cod_a):
                 raise NotDeterminantClass(f"non-square fiber at {pt}")
             if dom_a:
-                val *= _linalg.det(mat)
+                val *= _linalg.det(mat) ** _box_size(box)
         return val
 
     def trace_norm(self) -> float:
+        """Sum over bounded grid cells of |cell| times the fiber's singular values."""
         if not self.is_finite_box():
             raise NotFiniteRank("entries not supported on finite boxes")
         total = 0.0
-        for pt in self.probe_points():
-            mat, dom_a, cod_a = self.fiber(pt)
+        for box, pt in _grid_cells(self._grid(), bounded=True):
+            mat = self.fiber(pt)[0]
             if mat.size:
-                total += float(np.sum(np.linalg.svd(mat, compute_uv=False)))
+                total += _box_size(box) * float(np.sum(np.linalg.svd(mat, compute_uv=False)))
         return total
 
     def inverse(self) -> "FiberedLatticeOp":
@@ -576,7 +575,7 @@ class FiberedLatticeOp:
                 raise NotInvertible(f"non-square fiber at {rep}")
             if not dom_a:
                 continue
-            if abs(_linalg.det(mat)) <= 1e-12:
+            if abs(_linalg.det(mat)) <= INVERTIBLE_DET_TOL:
                 raise NotInvertible(f"singular fiber at {rep}")
             inv = np.linalg.inv(mat)
             for r, j in enumerate(dom_a):

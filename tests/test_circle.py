@@ -33,6 +33,18 @@ def test_loop_product_and_symbols():
     assert tail < 1e-10
 
 
+def test_symbol_tail_matches_generator_reference():
+    # the tail is the largest |coefficient| outside the band, as the
+    # generator over each out-of-band frequency computed it
+    u = ci.Loop.laurent([0.3, 2.0, 0.1], 0)
+    v = ci.Loop.laurent([0.5, 3.0], -1)
+    for band, grid in ((48, ci.GRID), (6, 64), (31, 64), (40, 64)):
+        _, tail = ci.symbol_coeffs(u, v, band, grid)
+        c = np.fft.fft(u.samples(grid) * v.inverse_samples(grid)) / grid
+        ref = max((abs(c[k % grid]) for k in range(band + 1, grid - band)), default=0.0)
+        assert tail == float(ref)
+
+
 def test_monomial_cocycle_values():
     lam = ci.Loop.monomial(0.8 + 0.7j, 0)
     assert ci.cres_cocycle(Z, lam) == pytest.approx(1.0)

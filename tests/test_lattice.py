@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from detline import _linalg
 from detline._intervals import Box, BoxUnion
 from detline.errors import NotDeterminantClass, NotFiniteRank, ShapeMismatch
-from detline.lattice import FiberedLatticeOp, SlotSpace
+from detline.lattice import COEFF_TOL, FiberedLatticeOp, SlotSpace, pt_key
 from detline.torus import quadrant
 from detline.windows import DenseOp, window_det
 from detline import circle as ci
@@ -295,3 +296,208 @@ def test_window_det_matches_fibered_det():
             mat[k, k] = m[0, 0]
         assert window_det(DenseOp(labels, labels, mat)) == pytest.approx(want)
     assert want == pytest.approx((1 + delta) * (1 + eps) ** 2)
+
+
+# -- per-cell work against the per-point reference ----------------------------
+#
+# The references below are the per-point algorithms that the grid-cell code
+# replaced: every lattice point of the probe box gets its own fiber, built
+# from the entries, and its own elimination.
+
+
+def _ref_fiber(op, pt):
+    dom_a, cod_a = op.dom.active(pt), op.cod.active(pt)
+    mat = np.zeros((len(cod_a), len(dom_a)), dtype=complex)
+    for r, i in enumerate(cod_a):
+        for c, j in enumerate(dom_a):
+            val = 0.0
+            for coeff, box in op.entries.get((i, j), ()):
+                if box.contains(pt):
+                    val += coeff
+            mat[r, c] = val
+    return mat, dom_a, cod_a
+
+
+def _ref_presentation(op):
+    ker, coker = [], []
+    for pt in op.probe_points():
+        mat, dom_a, cod_a = _ref_fiber(op, pt)
+        if not dom_a and not cod_a:
+            continue
+        for v in _linalg.nullspace(mat):
+            ker.append({(pt, dom_a[ix]): v[ix] for ix in range(len(dom_a)) if abs(v[ix]) > COEFF_TOL})
+        for r in _linalg.coker_free_rows(mat):
+            coker.append({(pt, cod_a[r]): 1.0 + 0.0j})
+    return ker, coker
+
+
+def _ref_fredholm_det(op):
+    val = 1.0 + 0.0j
+    for pt in op.probe_points():
+        mat, dom_a, _ = _ref_fiber(op, pt)
+        if dom_a:
+            val *= _linalg.det(mat)
+    return val
+
+
+def _ref_trace_norm(op):
+    total = 0.0
+    for pt in op.probe_points():
+        mat = _ref_fiber(op, pt)[0]
+        if mat.size:
+            total += float(np.sum(np.linalg.svd(mat, compute_uv=False)))
+    return total
+
+
+def _ref_pert_labels(t1, t2, images):
+    p1, p2 = t1.presentation(), t2.presentation()
+    axes = zip(t1.probe_box().axes, t2.probe_box().axes)
+    pts = list(Box(tuple((min(a[0], b[0]), max(a[1], b[1])) for a, b in axes)).points())
+    exceptional = set()
+    for pt in pts:
+        m1, d1, c1 = _ref_fiber(t1, pt)
+        m2, _, _ = _ref_fiber(t2, pt)
+        if m1.shape != m2.shape or (
+            m1.size and np.max(np.abs(m1 - m2)) > 1e-12 * max(1.0, np.max(np.abs(m1)))
+        ):
+            exceptional.add(pt)
+            continue
+        if len(d1) != len(c1):
+            exceptional.add(pt)
+            continue
+        if d1 and abs(_linalg.det(m1)) < 1e-10:
+            exceptional.add(pt)
+    for coll in (p1.ker, p1.coker, p2.ker, p2.coker, images):
+        for vec in coll:
+            for (pt, _slot) in vec:
+                exceptional.add(pt)
+    dom_labels, cod_labels = [], []
+    for pt in sorted(exceptional, key=pt_key):
+        dom_labels.extend((pt, j) for j in t1.dom.active(pt))
+        cod_labels.extend((pt, i) for i in t1.cod.active(pt))
+    return dom_labels, cod_labels
+
+
+def _finite_perturbation(rng, op, count=3, width=2):
+    """op plus random coefficients on a few small boxes of its slot pairs."""
+    lo = [min(op.breakpoints(ax)) for ax in range(op.dim)]
+    ents = {}
+    for _ in range(count):
+        i, j = int(rng.integers(len(op.cod))), int(rng.integers(len(op.dom)))
+        start = [x + int(rng.integers(0, 4)) for x in lo]
+        box = Box(tuple((s, s + int(rng.integers(1, width + 1))) for s in start))
+        coeff = 0.5 * complex(rng.standard_normal(), rng.standard_normal())
+        ents.setdefault((i, j), []).append((coeff, box))
+    return op.add(FiberedLatticeOp(op.dom, op.cod, ents))
+
+
+def _torus_ops(rng, count):
+    from detline import torus as tor
+
+    def mono(lo=0):
+        a, b = (int(x) for x in rng.integers(lo, 5, size=2))
+        return tor.Monomial2(complex(*rng.uniform(0.5, 2.0, size=2)), a, b)
+
+    def sigma():
+        return tor.SigmaIndex(mono(-4))
+
+    def gen():
+        return tor.RingIdempotent.generator(mono())
+
+    ops = []
+    for _ in range(count):
+        lams = [sigma() for _ in range(3)]
+        p, q = gen(), gen()
+        ops.append(tor.F_op(lams[0], lams[1], p, q))
+        ops.append(tor.Omega_op(lams[0], lams[1], p))
+        ops.append(tor.big_F(lams, (0, 2), (p, gen(), q)))
+        ops.append(tor.big_Omega(lams, (1, 2), (gen(), p, p)))
+    return ops
+
+
+def _fibered_cases():
+    from detline.verify import random_fibered_op
+
+    rng = np.random.default_rng(2024)
+    ops = [random_fibered_op(rng, *(int(x) for x in rng.integers(-2, 3, size=2))) for _ in range(8)]
+    # supports made of several boxes: an L-shaped slot, and its inclusion
+    # from a copy with a finite hole (cokernel on the hole)
+    ell = BoxUnion(2, [Box(((0, None), (0, None))), Box(((None, 0), (2, None)))])
+    sp = SlotSpace([("a", ell), ("b", quadrant(b=1))])
+    ops.append(_finite_perturbation(rng, FiberedLatticeOp.identity(sp), count=4, width=3))
+    holed = SlotSpace([("a", ell.subtract(BoxUnion(2, [Box(((-1, 2), (1, 3)))])))])
+    ops.append(FiberedLatticeOp.inclusion(holed, SlotSpace([("a", ell)]), [0]))
+    return rng, ops + _torus_ops(rng, 4)
+
+
+def test_fiber_is_the_per_point_fiber():
+    _, ops = _fibered_cases()
+    for op in ops:
+        for pt in op.probe_box(margin=5).points():
+            mat, dom_a, cod_a = op.fiber(pt)
+            ref, rdom, rcod = _ref_fiber(op, pt)
+            assert (dom_a, cod_a) == (rdom, rcod) and np.array_equal(mat, ref)
+
+
+def test_cell_presentation_matches_per_point_reference():
+    _, ops = _fibered_cases()
+    assert any(op.presentation().ker for op in ops) and any(op.presentation().coker for op in ops)
+    for op in ops:
+        pres = op.presentation()
+        ker, coker = _ref_presentation(op)
+        assert list(pres.ker) == ker and list(pres.coker) == coker
+
+
+def test_cell_pert_labels_match_per_point_reference():
+    rng, ops = _fibered_cases()
+    for op in ops:
+        other = _finite_perturbation(rng, op)
+        probe = op.probe_box(margin=3)
+        stray = {(tuple(hi - 1 for _, hi in probe.axes), 0): 1.0}
+        images = [dict(r) for r in other.presentation().coker] + [stray]
+        assert op.pert_labels(other, images) == _ref_pert_labels(op, other, images)
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1e-300)
+
+
+def test_cell_det_and_trace_norm_match_per_point_reference():
+    from detline import torus as tor
+
+    rng, ops = _fibered_cases()
+    dets = [_random_detclass(rng) for _ in range(4)]
+    for op in ops:
+        if op.dom.compatible(op.cod):
+            ident = FiberedLatticeOp.identity(op.dom)
+            dets.append(_finite_perturbation(rng, ident, count=4, width=3))
+            if op.compose(op).sub(ident).is_zero():
+                dets.append(op.compose(dets[-1]).compose(op))  # Omega X Omega
+    assert len(dets) >= 12
+    for op in dets:
+        assert _close(op.fredholm_det(), _ref_fredholm_det(op))
+    finite = [op.sub(_finite_perturbation(rng, op, count=5, width=3)) for op in ops]
+    finite.append(tor.projection_P(tor.Monomial2(1.0, 3, 0)).sub(
+        tor.projection_P(tor.Monomial2(1.0, -1, 0))).compose(
+        tor.projection_Q(tor.Monomial2(1.0, 0, 4)).sub(tor.projection_Q(tor.Monomial2(1.0, 0, 1)))))
+    for op in finite:
+        assert op.is_finite_box()
+        assert _close(op.trace_norm(), _ref_trace_norm(op))
+    assert finite[-1].trace_norm() == 12.0
+
+
+def test_presentation_eliminates_once_per_grid_cell(monkeypatch):
+    from detline import torus as tor
+
+    calls = []
+    real = _linalg.nullspace
+    monkeypatch.setattr(_linalg, "nullspace", lambda mat, *a: calls.append(1) or real(mat, *a))
+    lam = tor.SigmaIndex(tor.Monomial2(1.0, 4, -3))
+    mu = tor.SigmaIndex(tor.Monomial2(2.0, -2, 4))
+    p = tor.RingIdempotent.generator(tor.Monomial2(1.0, 3, 4))
+    q = tor.RingIdempotent.generator(tor.Monomial2(1.0, 0, 1))
+    op = tor.F_op(lam, mu, p, q)
+    pres = op.presentation()
+    cells = np.prod([len(op.breakpoints(ax)) + 1 for ax in range(op.dim)])
+    assert pres.ker or pres.coker
+    assert 0 < len(calls) <= cells < len(op.probe_points())
