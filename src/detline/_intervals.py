@@ -28,24 +28,6 @@ def _ivl_contains(ivl, x: int) -> bool:
     return (lo is None or x >= lo) and (hi is None or x < hi)
 
 
-def _merge_intervals(ivls):
-    """Merge a list of half-open intervals into disjoint sorted ones."""
-    if not ivls:
-        return ()
-    key = lambda iv: (iv[0] is not None, iv[0] if iv[0] is not None else 0)
-    out = []
-    for iv in sorted(ivls, key=key):
-        if out:
-            lo, hi = out[-1]
-            # overlap or adjacency: previous hi >= current lo
-            if hi is None or (iv[0] is not None and iv[0] <= hi):
-                nhi = None if (hi is None or iv[1] is None) else max(hi, iv[1])
-                out[-1] = (lo, nhi)
-                continue
-        out.append(iv)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Box:
     """Product of half-open integer intervals, one per axis."""

@@ -163,12 +163,6 @@ def _mono_compose(x: _MonoMor, y: _MonoMor) -> _MonoMor:
     return _MonoMor(x.nu, y.nv, x.coeff * y.coeff * tors.scalar * pert.scalar)
 
 
-def _mono_alpha(g: Loop) -> _MonoMor:
-    """Chosen isomorphism 1 -> g; frame element (perturbation-normalised
-    at winding zero, where it equals the frame anyway)."""
-    return _MonoMor(0, g.n, 1.0 + 0.0j)
-
-
 def _mono_invert(x: _MonoMor) -> _MonoMor:
     probe = _MonoMor(x.nv, x.nu, 1.0 + 0.0j)
     s = _mono_compose(x, probe).coeff

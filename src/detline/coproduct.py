@@ -149,8 +149,8 @@ class Context:
                 factors.append(fredlines.stabilization(small, step, (i, j), (i, j)).scalar)
                 steps.append(step)
                 ps[i], ps[j] = ps[j], ps[i]
-            factors.append(fredlines.torsion_chain(steps).scalar)
-            comp = reduce(FiberedLatticeOp.compose, reversed(steps))
+            chain, comp = fredlines.torsion_chain(steps)
+            factors.append(chain.scalar)
             big = self._extend_full(comp, lams)
             factors.append(fredlines.stabilization(comp, big).scalar)
             p0s = tuple(p0 for _ in lams)
@@ -309,8 +309,8 @@ def change_base(x: HomElement, p0_new: RingIdempotent) -> HomElement:
         T12 = big_F(list(lams), (0, 1), (p0, q, p))
         s1 = fredlines.stabilization(ctx.F(lam, mu, p, p0), T13, (0, 2), (0, 2)).scalar
         s2 = fredlines.stabilization(ctx.F(lam, mu, p0, q), T12, (0, 1), (0, 1)).scalar
-        tors = fredlines.torsion(T13, T12)
         comp = T12.compose(T13)
+        tors = fredlines.torsion(T13, T12, comp)
         full = sigma_region(mu, RingIdempotent.unit())
         comp_region = full.subtract(comp.dom.slots[2].support)
         dom_slots = [(s.name, s.support) for s in comp.dom.slots]

@@ -6,13 +6,15 @@ kernel basis) tensor (dual wedge of the canonical cokernel
 representatives), in presentation order.  Composing maps multiplies
 scalars.
 
-The maps work on fibered lattice operators and on dense windows alike.
-Besides presentation, apply, express_in_kernel, coker_coords, compose and
-sub, an operator provides what the perturbation map needs: `is_zero`,
-`is_finite_box`, `label_key` (the order of kernel labels, grouped by
-fiber), `pert_labels` (the finite block carrying the perturbation
-determinant), `block` (the operator's matrix on that block) and
-`pad_pair` (auxiliary coordinates that shift the index to zero).
+The torsion and perturbation maps work on fibered lattice operators and
+on dense windows alike.  Besides presentation, apply, express_in_kernel,
+coker_coords and compose, an operator provides what the perturbation map
+needs: `finite_difference` (whether a difference is trace class),
+`label_key` (the order of kernel labels, grouped by fiber), `pert_labels`
+(the finite block carrying the perturbation determinant), `block` (the
+operator's matrix on that block) and `pad_pair` (auxiliary coordinates
+that shift the index to zero).  Quasi-isomorphisms are fibered only:
+`quasi_map` checks its square with `FiberedLatticeOp.intertwines`.
 """
 
 from __future__ import annotations
@@ -87,28 +89,26 @@ def torsion(T, S, ST=None) -> LineMap:
     return LineMap(1.0 / tor.scalar, deg_in, ST.presentation().degree)
 
 
-def torsion_chain(ops) -> LineMap:
+def torsion_chain(ops) -> tuple[LineMap, object]:
     """|A1| (x) ... (x) |An| -> |An ... A1| for a composable chain.
 
-    `ops` is listed in application order (A1 acts first).
+    `ops` is listed in application order (A1 acts first).  Returns the
+    line map and the composite An ... A1, associated from the left.
     """
     scalar = 1.0 + 0.0j
     partial = ops[-1]
     for op in reversed(ops[:-1]):
-        step = torsion(op, partial)
-        scalar *= step.scalar
-        partial = partial.compose(op)
+        composite = partial.compose(op)
+        scalar *= torsion(op, partial, composite).scalar
+        partial = composite
     deg_in = sum(op.presentation().degree for op in ops)
-    return LineMap(scalar, deg_in, partial.presentation().degree)
+    return LineMap(scalar, deg_in, partial.presentation().degree), partial
 
 
 def quasi_map(phi, psi, T1, T2, check=True) -> LineMap:
     """Line map |T1| -> |T2| induced by a quasi-isomorphism (phi, psi)."""
-    if check:
-        lhs = psi.compose(T1)
-        rhs = T2.compose(phi)
-        if not lhs.sub(rhs).is_zero():
-            raise NotQuasiIso("psi T1 != T2 phi")
+    if check and not T2.intertwines(T1, phi, psi):
+        raise NotQuasiIso("psi T1 != T2 phi")
     p1, p2 = T1.presentation(), T2.presentation()
     if len(p1.ker) != len(p2.ker) or len(p1.coker) != len(p2.coker):
         raise NotQuasiIso("kernel/cokernel dimensions differ")
@@ -225,7 +225,7 @@ def _split_triangle_scalar(T, padded, aux_dom, aux_cod) -> complex:
 
 def perturbation(T1, T2, images1=None, images2=None) -> LineMap:
     """Perturbation isomorphism |T1| -> |T2| for trace-class differences."""
-    if not T1.sub(T2).is_finite_box():
+    if not T1.finite_difference(T2):
         raise NotTraceClassDifference("difference has unbounded support")
     idx1, idx2 = T1.index(), T2.index()
     if idx1 != idx2:

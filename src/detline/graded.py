@@ -159,10 +159,6 @@ class TriangleTorsion:
     line_U: GradedLine
     line_W: GradedLine
 
-    @property
-    def inverse_scalar(self) -> complex:
-        return 1.0 / self.scalar
-
 
 def torsion_of_triangle(tri: ExactTriangle, rng=None) -> TriangleTorsion:
     """Torsion isomorphism of an exact triangle.

@@ -142,6 +142,23 @@ def _grid_cells(cuts, bounded):
             yield box, _cell_rep(box)
 
 
+def _joint_cuts(*ops):
+    """Sorted breakpoints per axis of the grid that refines each operator's."""
+    return tuple(sorted(set().union(*axes)) for axes in zip(*(op._grid() for op in ops)))
+
+
+def _fibers_agree(a, b) -> bool:
+    return not a.size or np.max(np.abs(a - b)) <= COEFF_TOL
+
+
+def _solve_once(solved, a, b):
+    """`_linalg.solve_exact(a, b)`, solved once per distinct system in `solved`."""
+    key = (a.shape, a.tobytes(), b.tobytes())
+    if key not in solved:
+        solved[key] = _linalg.solve_exact(a, b)
+    return solved[key]
+
+
 def _box_size(box: Box) -> int:
     return prod(hi - lo for lo, hi in box.axes)
 
@@ -292,6 +309,27 @@ class FiberedLatticeOp:
     def sub(self, other: "FiberedLatticeOp") -> "FiberedLatticeOp":
         return self.add(other.scale(-1.0))
 
+    def intertwines(self, T1, phi, psi) -> bool:
+        """Whether psi T1 == self phi, at one point of every cell of the joint grid."""
+        pairs = ((psi.dom, T1.cod), (self.dom, phi.cod), (T1.dom, phi.dom), (psi.cod, self.cod))
+        if not all(a.compatible(b) for a, b in pairs):
+            raise ShapeMismatch("intertwines: slot spaces differ")
+        cuts = _joint_cuts(self, T1, phi, psi)
+        return all(
+            _fibers_agree(psi.fiber(pt)[0] @ T1.fiber(pt)[0], self.fiber(pt)[0] @ phi.fiber(pt)[0])
+            for bounded in (True, False)
+            for _, pt in _grid_cells(cuts, bounded)
+        )
+
+    def finite_difference(self, other: "FiberedLatticeOp") -> bool:
+        """Whether self - other vanishes on every unbounded cell of the joint grid."""
+        if not (self.dom.compatible(other.dom) and self.cod.compatible(other.cod)):
+            raise ShapeMismatch("finite_difference: slot spaces differ")
+        return all(
+            _fibers_agree(self.fiber(pt)[0], other.fiber(pt)[0])
+            for _, pt in _grid_cells(_joint_cuts(self, other), bounded=False)
+        )
+
     # -- grid cells and probe geometry ----------------------------------------
 
     def breakpoints(self, axis):
@@ -395,6 +433,7 @@ class FiberedLatticeOp:
         pres = self.presentation()
         out = np.zeros((len(pres.ker), len(vecs)), dtype=complex)
         ker_by_pt = _index_by_point(pres.ker)
+        solved = {}
         for cix, v in enumerate(vecs):
             by_pt = {}
             for (pt, slot), c in v.items():
@@ -411,7 +450,7 @@ class FiberedLatticeOp:
                     dtype=complex,
                 )
                 rhs = np.array([coords.get(l, 0.0) for l in labels], dtype=complex)
-                sol = _linalg.solve_exact(kmat, rhs)
+                sol = _solve_once(solved, kmat, rhs)
                 for ix, k in enumerate(kids):
                     out[k, cix] += sol[ix]
         return out
@@ -421,6 +460,7 @@ class FiberedLatticeOp:
         pres = self.presentation()
         out = np.zeros((len(pres.coker), len(vecs)), dtype=complex)
         coker_by_pt = _index_by_point(pres.coker)
+        solved = {}
         for cix, v in enumerate(vecs):
             by_pt = {}
             for (pt, slot), c in v.items():
@@ -434,7 +474,7 @@ class FiberedLatticeOp:
                 ).reshape(len(cod_a), len(kids))
                 aug = np.hstack([mat, rep_mat])
                 rhs = np.array([coords.get(i, 0.0) for i in cod_a], dtype=complex)
-                sol = _linalg.solve_exact(aug, rhs)
+                sol = _solve_once(solved, aug, rhs)
                 for ix, k in enumerate(kids):
                     out[k, cix] += sol[len(dom_a) + ix]
         return out
@@ -461,9 +501,8 @@ class FiberedLatticeOp:
         finite-box operator, as `fredlines.perturbation` requires.
         """
         p1, p2 = self.presentation(), other.presentation()
-        cuts = tuple(sorted(set(a) | set(b)) for a, b in zip(self._grid(), other._grid()))
         exceptional = set()
-        for box, pt in _grid_cells(cuts, bounded=True):
+        for box, pt in _grid_cells(_joint_cuts(self, other), bounded=True):
             m1, d1, c1 = self.fiber(pt)
             m2 = other.fiber(pt)[0]
             if (

@@ -151,11 +151,10 @@ class DenseOp:
         """Sort key of a domain label: its position (one fiber per window)."""
         return (0, self._dom_pos[label])
 
-    def is_zero(self) -> bool:
-        return not self.matrix.size or np.max(np.abs(self.matrix)) <= 1e-9
-
-    def is_finite_box(self) -> bool:
+    def finite_difference(self, other: "DenseOp") -> bool:
         """A window is finite: every difference of windows is trace class."""
+        if other.cod_labels != self.cod_labels or other.dom_labels != self.dom_labels:
+            raise ShapeMismatch("finite_difference: windows differ")
         return True
 
     def pert_labels(self, other: "DenseOp", images):

@@ -5,7 +5,12 @@ import pytest
 
 from detline import fredlines
 from detline._intervals import Box, BoxUnion
-from detline.errors import NotTraceClassDifference
+from detline.errors import (
+    NotComplementary,
+    NotQuasiIso,
+    NotTraceClassDifference,
+    ShapeMismatch,
+)
 from detline.lattice import FiberedLatticeOp, SlotSpace
 from detline.verify import (
     random_fibered_op,
@@ -220,3 +225,199 @@ def test_percom_dense_backend():
         * fredlines.torsion(T2, S2, ST2).scalar
     )
     assert lhs == pytest.approx(rhs, rel=1e-9)
+
+
+# -- commuting squares, trace-class tests and chain composites ---------------
+#
+# The references are the checks these replaced: the commuting square was
+# decided by building psi T1 - T2 phi, the trace-class test by building
+# T1 - T2, and the chain composite was composed again after the torsion.
+
+
+def _ref_intertwines(T2, T1, phi, psi):
+    return psi.compose(T1).sub(T2.compose(phi)).is_zero()
+
+
+SEG = BoxUnion(1, [Box(((-5, -3),))])
+
+
+def _stabilized(T, extra=None):
+    """T with a slot on SEG added to both sides, and the slot inclusions."""
+    dom = SlotSpace([("d", T.dom.slots[0].support), ("g", SEG)])
+    cod = SlotSpace([("c", T.cod.slots[0].support), ("g", SEG)])
+    ents = {k: list(v) for k, v in T.entries.items()}
+    ents[(1, 1)] = [(2.0, Box(((-5, -3),)))]
+    for key, pairs in (extra or {}).items():
+        ents[key] = ents.get(key, []) + pairs
+    big = FiberedLatticeOp(dom, cod, ents)
+    phi = FiberedLatticeOp.inclusion(T.dom, dom, [0])
+    psi = FiberedLatticeOp.inclusion(T.cod, cod, [0])
+    return big, phi, psi
+
+
+def test_quasi_map_rejects_square_differing_on_one_cell():
+    T = op_between(0, 1, [(0.2, Box(((1, 2),)))])
+    bounded = {(0, 0): [(0.5, Box(((3, 4),)))]}  # one bounded cell
+    unbounded = {(0, 0): [(0.5, Box(((6, None),)))]}  # one unbounded cell
+    for extra in (bounded, unbounded):
+        big, phi, psi = _stabilized(T, extra)
+        assert not big.intertwines(T, phi, psi)
+        assert not _ref_intertwines(big, T, phi, psi)
+        with pytest.raises(NotQuasiIso):
+            fredlines.quasi_map(phi, psi, T, big)
+        with pytest.raises(NotComplementary):
+            fredlines.stabilization(T, big, (0,), (0,))
+    big, phi, psi = _stabilized(T)
+    assert big.intertwines(T, phi, psi)
+    # a cell that only the small operator's grid cuts out
+    bare, phi, psi = _stabilized(op_between(0, 1))
+    bumped = op_between(0, 1, [(0.5, Box(((4, 5),)))])
+    assert not bare.intertwines(bumped, phi, psi)
+    assert not _ref_intertwines(bare, bumped, phi, psi)
+
+
+def test_quasi_map_mismatched_slot_spaces_raise():
+    T = op_between(0, 1)
+    big, phi, psi = _stabilized(T)
+    wrong = FiberedLatticeOp.identity(SlotSpace([("d", half(2))]))
+    with pytest.raises(ShapeMismatch):
+        fredlines.quasi_map(wrong, psi, T, big)
+    with pytest.raises(ShapeMismatch):
+        fredlines.quasi_map(phi, wrong, T, big)
+    with pytest.raises(ShapeMismatch):
+        big.intertwines(T, psi, phi)
+    # a big operator whose slots do not contain the small one's
+    small_big = op_between(3, 3)
+    with pytest.raises(NotComplementary):
+        fredlines.stabilization(T, small_big)
+    with pytest.raises(ShapeMismatch):
+        T.finite_difference(op_between(1, 1))
+    with pytest.raises(ShapeMismatch):
+        DenseOp.identity([0, 1]).finite_difference(DenseOp.identity([0, 2]))
+
+
+def test_intertwines_matches_compose_sub_reference():
+    rng = np.random.default_rng(8)
+    outcomes = set()
+    for _ in range(40):
+        n_dom, n_cod = (int(x) for x in rng.integers(-2, 3, size=2))
+        T = random_fibered_op(rng, n_dom, n_cod)
+        lo = max(n_dom, n_cod)
+        extra = {}
+        kind = int(rng.integers(4))
+        if kind:
+            key = [(0, 0), (1, 1)][int(rng.integers(2))]  # (1, 1) keeps the square
+            start = -5 if key == (1, 1) else lo + int(rng.integers(0, 5))
+            hi = start + 1 if kind == 1 or key == (1, 1) else None
+            extra[key] = [(0.5 * complex(*rng.standard_normal(2)), Box(((start, hi),)))]
+        big, phi, psi = _stabilized(T, extra)
+        got = big.intertwines(T, phi, psi)
+        assert got == _ref_intertwines(big, T, phi, psi)
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_intertwines_on_invertible_squares():
+    # the squares of test_torquis_square, and the same squares perturbed
+    rng = np.random.default_rng(62)
+    for _ in range(6):
+        T = random_fibered_op(rng, 0, 1)
+        phi, psi = (
+            FiberedLatticeOp.identity(sp).add(random_finite_box(rng, FiberedLatticeOp.identity(sp)))
+            for sp in (T.dom, T.cod)
+        )
+        T2 = psi.compose(T).compose(phi.inverse())
+        bumped = T2.add(random_finite_box(rng, T2))
+        assert T2.intertwines(T, phi, psi) and _ref_intertwines(T2, T, phi, psi)
+        assert not bumped.intertwines(T, phi, psi)
+        assert not _ref_intertwines(bumped, T, phi, psi)
+
+
+def test_perturbation_rejects_difference_unbounded_along_one_axis():
+    full = SlotSpace([("h", BoxUnion.full(2))])
+    one = FiberedLatticeOp.identity(full)
+    for strip in (Box(((0, 1), (None, None))), Box(((None, 2), (3, 5))), Box(((1, 3), (4, None)))):
+        bumped = one.add(FiberedLatticeOp(full, full, {(0, 0): [(0.5, strip)]}))
+        assert not one.finite_difference(bumped)
+        assert not one.sub(bumped).is_finite_box()
+        with pytest.raises(NotTraceClassDifference):
+            fredlines.perturbation(one, bumped)
+    square = one.add(FiberedLatticeOp(full, full, {(0, 0): [(0.5, Box(((0, 2), (1, 3))))]}))
+    assert one.finite_difference(square) and one.sub(square).is_finite_box()
+    assert fredlines.perturbation(one, square).scalar == pytest.approx(1.5 ** 4)
+
+
+def _triv_steps(schedule):
+    """The F blocks and big_F steps that Context.triv builds for a schedule."""
+    from detline.torus import Monomial2, RingIdempotent, SigmaIndex, F_op, big_F
+
+    q = RingIdempotent.generator
+    n = max(max(pair) for pair in schedule) + 1
+    lams = [SigmaIndex(Monomial2(1.0, a, b)) for a, b in [(1, 0), (3, 1), (2, 4), (0, 2)][:n]]
+    p0, e = q(Monomial2(1.0, 0, 0)), q(Monomial2(1.0, 2, 3))
+    ps = [p0] * n
+    ps[schedule[0][0]] = e
+    out = []
+    for i, j in schedule:
+        out.append((F_op(lams[i], lams[j], ps[i], ps[j]), big_F(lams, (i, j), tuple(ps)), (i, j)))
+        ps[i], ps[j] = ps[j], ps[i]
+    return out
+
+
+def _ref_torsion_chain(ops):
+    scalar = 1.0 + 0.0j
+    partial = ops[-1]
+    for op in reversed(ops[:-1]):
+        scalar *= fredlines.torsion(op, partial).scalar
+        partial = partial.compose(op)
+    return scalar
+
+
+def test_torsion_chain_composite_is_the_reduced_composite():
+    from functools import reduce
+
+    from detline.coproduct import COMPOSE, TERNARY
+
+    for schedule in (COMPOSE, TERNARY):
+        steps = [big for _, big, _ in _triv_steps(schedule)]
+        chain, comp = fredlines.torsion_chain(steps)
+        ref = reduce(FiberedLatticeOp.compose, reversed(steps))
+        assert comp.entries == ref.entries
+        assert comp.dom.compatible(ref.dom) and comp.cod.compatible(ref.cod)
+        assert chain.scalar == _ref_torsion_chain(steps)
+        assert chain.degree_out == ref.presentation().degree
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(FiberedLatticeOp, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiberedLatticeOp, name, counted)
+    return calls
+
+
+def test_stabilization_constructs_only_the_inclusions(monkeypatch):
+    from detline.coproduct import COMPOSE
+
+    cases = _triv_steps(COMPOSE)
+    want = [fredlines.stabilization(small, big, pair, pair).scalar for small, big, pair in cases]
+    built = _count_calls(monkeypatch, "__init__")
+    for (small, big, pair), scalar in zip(cases, want):
+        before = len(built)
+        assert fredlines.stabilization(small, big, pair, pair).scalar == scalar
+        assert len(built) - before == 2
+
+
+def test_torsion_chain_composes_once_per_step(monkeypatch):
+    from detline.coproduct import TERNARY
+
+    steps = [big for _, big, _ in _triv_steps(TERNARY)]
+    composed = _count_calls(monkeypatch, "compose")
+    for n in (2, 3, 4):
+        before = len(composed)
+        fredlines.torsion_chain(steps[:n])
+        assert len(composed) - before == n - 1

@@ -501,3 +501,116 @@ def test_presentation_eliminates_once_per_grid_cell(monkeypatch):
     cells = np.prod([len(op.breakpoints(ax)) + 1 for ax in range(op.dim)])
     assert pres.ker or pres.coker
     assert 0 < len(calls) <= cells < len(op.probe_points())
+
+
+# -- one solve per distinct system against the per-vector reference ----------
+#
+# The references solve every (point, vector) system afresh, as
+# `express_in_kernel` and `coker_coords` did before they kept one solution
+# per distinct system and call.
+
+
+def _ref_express_in_kernel(op, vecs):
+    from detline.lattice import _index_by_point, label_key
+
+    pres = op.presentation()
+    out = np.zeros((len(pres.ker), len(vecs)), dtype=complex)
+    ker_by_pt = _index_by_point(pres.ker)
+    for cix, v in enumerate(vecs):
+        by_pt = {}
+        for (pt, slot), c in v.items():
+            by_pt.setdefault(pt, {})[(pt, slot)] = c
+        for pt, coords in by_pt.items():
+            kids = ker_by_pt.get(pt, [])
+            if not kids:
+                raise np.linalg.LinAlgError("vector not in kernel (no fiber)")
+            labels = sorted({l for k in kids for l in pres.ker[k]} | set(coords), key=label_key)
+            kmat = np.array([[pres.ker[k].get(l, 0.0) for k in kids] for l in labels], dtype=complex)
+            rhs = np.array([coords.get(l, 0.0) for l in labels], dtype=complex)
+            sol = _linalg.solve_exact(kmat, rhs)
+            for ix, k in enumerate(kids):
+                out[k, cix] += sol[ix]
+    return out
+
+
+def _ref_coker_coords(op, vecs):
+    from detline.lattice import _index_by_point
+
+    pres = op.presentation()
+    out = np.zeros((len(pres.coker), len(vecs)), dtype=complex)
+    coker_by_pt = _index_by_point(pres.coker)
+    for cix, v in enumerate(vecs):
+        by_pt = {}
+        for (pt, slot), c in v.items():
+            by_pt.setdefault(pt, {})[slot] = c
+        for pt, coords in by_pt.items():
+            mat, dom_a, cod_a = op.fiber(pt)
+            kids = coker_by_pt.get(pt, [])
+            rep_mat = np.array(
+                [[pres.coker[k].get((pt, i), 0.0) for k in kids] for i in cod_a], dtype=complex
+            ).reshape(len(cod_a), len(kids))
+            rhs = np.array([coords.get(i, 0.0) for i in cod_a], dtype=complex)
+            sol = _linalg.solve_exact(np.hstack([mat, rep_mat]), rhs)
+            for ix, k in enumerate(kids):
+                out[k, cix] += sol[len(dom_a) + ix]
+    return out
+
+
+def _probe_vectors(rng, op, count):
+    """Codomain vectors with repeats: cokernel representatives, images of
+    domain unit vectors, and random combinations of them."""
+    pres = op.presentation()
+    units = [{(pt, j): 1.0} for pt in op.probe_points() for j in op.dom.active(pt)]
+    base = [dict(r) for r in pres.coker] + [op.apply(u) for u in units[:: max(1, len(units) // 12)]]
+    base = [b for b in base if b]
+    out = list(base)
+    for _ in range(count):
+        a, b = (base[int(k)] for k in rng.integers(len(base), size=2))
+        c = complex(*rng.standard_normal(2))
+        out.append({l: a.get(l, 0.0) + c * b.get(l, 0.0) for l in set(a) | set(b)})
+    return out + out[:3]
+
+
+def test_solve_once_per_system_matches_per_vector_reference(monkeypatch):
+    rng, ops = _fibered_cases()
+    solves = {"new": 0, "ref": 0}
+    real = _linalg.solve_exact
+
+    def counted(side, fn, op, vecs):
+        def solve(a, b, *rest):
+            solves[side] += 1
+            return real(a, b, *rest)
+
+        monkeypatch.setattr(_linalg, "solve_exact", solve)
+        return fn(op, vecs)
+
+    for op in ops:
+        kers = [dict(k) for k in op.presentation().ker]
+        doubled = [{l: 2.0 * x for l, x in k.items()} for k in kers]
+        for new, ref, vecs in (
+            (FiberedLatticeOp.express_in_kernel, _ref_express_in_kernel, kers + doubled + kers[:2]),
+            (FiberedLatticeOp.coker_coords, _ref_coker_coords, _probe_vectors(rng, op, 6)),
+        ):
+            if vecs:
+                got = counted("new", new, op, vecs)
+                assert np.array_equal(got, counted("ref", ref, op, vecs))
+    assert solves["new"] < solves["ref"] / 2
+
+
+def test_express_in_kernel_still_rejects_non_kernel_vectors():
+    seg = BoxUnion(1, [Box(((0, 3),))])
+    dom = SlotSpace([("a", seg), ("b", seg)])
+    cod = SlotSpace([("c", seg)])
+    op = FiberedLatticeOp(dom, cod, {(0, 0): [(1.0, Box(((0, 3),)))], (0, 1): [(1.0, Box(((0, 3),)))]})
+    kers = [dict(k) for k in op.presentation().ker]
+    assert len(kers) == 3 and all(len(k) == 2 for k in kers)  # fiber [1 1]: kernel (-1, 1)
+    bad = dict(kers[1])
+    bad[((1,), 0)] += 1.0
+    outside = {((5,), 0): 1.0}
+    # alone, and after kernel vectors that share the bad vector's system
+    for vecs in ([bad], [kers[1], bad, kers[1]], [kers[0], outside]):
+        with pytest.raises(np.linalg.LinAlgError):
+            op.express_in_kernel(vecs)
+        with pytest.raises(np.linalg.LinAlgError):
+            _ref_express_in_kernel(op, vecs)
+    assert np.array_equal(op.express_in_kernel(kers + kers), _ref_express_in_kernel(op, kers + kers))
