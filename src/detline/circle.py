@@ -9,6 +9,7 @@ gauge, certified by re-running at a larger window.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,21 @@ class Loop:
         return not self.coeffs
 
     def samples(self, grid=GRID):
+        """Values on `grid` equispaced points; the default grid is computed once
+        per loop and returned read-only."""
+        return self._samples if grid == GRID else self._sample(grid)
+
+    @cached_property
+    def _samples(self):
+        vals = self._sample(GRID)
+        vals.flags.writeable = False
+        return vals
+
+    @cached_property
+    def _winding(self) -> int:
+        return _winding_of(self._samples)
+
+    def _sample(self, grid):
         t = np.arange(grid) / grid
         z = np.exp(2j * np.pi * t)
         if self.is_monomial:
@@ -106,7 +122,10 @@ def winding_number(u: Loop, grid=GRID) -> int:
     """Total argument increment over one turn, as an integer."""
     if u.is_monomial:
         return u.n
-    vals = u.samples(grid)
+    return u._winding if grid == GRID else _winding_of(u.samples(grid))
+
+
+def _winding_of(vals) -> int:
     if np.min(np.abs(vals)) <= NONVANISH_TOL:
         raise Uncertified("loop not certified nonvanishing")
     ratios = np.roll(vals, -1) / vals
@@ -156,8 +175,8 @@ class _MonoMor:
 def _mono_compose(x: _MonoMor, y: _MonoMor) -> _MonoMor:
     assert x.nv == y.nu
     T, S = x.op(), y.op()
-    tors = fredlines.torsion(T, S)
     comp = S.compose(T)
+    tors = fredlines.torsion(T, S, comp)
     target = _mor_op(x.nu, y.nv)
     pert = fredlines.perturbation(comp, target)
     return _MonoMor(x.nu, y.nv, x.coeff * y.coeff * tors.scalar * pert.scalar)
@@ -226,13 +245,12 @@ class WindowContext:
 
     def toeplitz(self, u: Loop, v: Loop, dom_n: int) -> DenseOp:
         """Compression of v^{-1} u between Hardy windows [0, dom_n) and
-        [0, dom_n - w(u) + w(v))."""
-        w = winding_number(u) - winding_number(v)
-        key = (str(u), str(v), dom_n)
+        [0, dom_n + w(u) - w(v))."""
+        key = (u, v, dom_n)
         if key not in self._ops:
             coeffs, tail = symbol_coeffs(u, v, self.band)
             self.tail = max(self.tail, tail)
-            cod_n = dom_n + w
+            cod_n = dom_n + winding_number(u) - winding_number(v)
             sym = np.array([coeffs[k] for k in range(-self.band, self.band + 1)])
             offset = np.subtract.outer(np.arange(cod_n), np.arange(dom_n))
             inside = np.abs(offset) <= self.band
@@ -265,8 +283,8 @@ def _win_compose(ctx: WindowContext, x: _WinMor, y: _WinMor) -> _WinMor:
     T = ctx.toeplitz(x.u, x.v, x.dom_n)
     S = ctx.toeplitz(y.u, y.v, y.dom_n)
     assert S.dom_labels == T.cod_labels
-    tors = fredlines.torsion(T, S)
     comp = S.compose(T)
+    tors = fredlines.torsion(T, S, comp)
     target = ctx.toeplitz(x.u, y.v, x.dom_n)
     pert = fredlines.perturbation(comp, target)
     return _WinMor(x.u, y.v, x.dom_n, x.coeff * y.coeff * tors.scalar * pert.scalar)

@@ -350,13 +350,12 @@ def suite_perturbation(trials, seed):
         dt = random_finite_box(rng, t)
         ds = random_finite_box(rng, s)
         t2, s2 = t.add(dt), s.add(ds)
-        lhs = fredlines.torsion(t, s).scalar * fredlines.perturbation(
-            s.compose(t), s2.compose(t2)
-        ).scalar
+        st, st2 = s.compose(t), s2.compose(t2)
+        lhs = fredlines.torsion(t, s, st).scalar * fredlines.perturbation(st, st2).scalar
         rhs = (
             fredlines.perturbation(t, t2).scalar
             * fredlines.perturbation(s, s2).scalar
-            * fredlines.torsion(t2, s2).scalar
+            * fredlines.torsion(t2, s2, st2).scalar
         )
         return abs(lhs - rhs) / abs(rhs)
 
@@ -383,8 +382,8 @@ def suite_perturbation(trials, seed):
         stb = s.compose(t)
         stb_big = sb.compose(tb)
         s_st = fredlines.stabilization(stb, stb_big, (0,), (0,)).scalar
-        lhs = fredlines.torsion(t, s).scalar * s_st
-        rhs = s_t * s_s * fredlines.torsion(tb, sb).scalar
+        lhs = fredlines.torsion(t, s, stb).scalar * s_st
+        rhs = s_t * s_s * fredlines.torsion(tb, sb, stb_big).scalar
         e1 = abs(lhs - rhs) / abs(rhs)
         # perturbation commutes with stabilisation
         dt = random_finite_box(rng, t)

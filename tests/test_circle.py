@@ -222,3 +222,96 @@ def test_cohomologous_stability():
         c1 = ci.cres_cochain_base(g, h, base, tw)
         b = lambda x: ci.base_change_cochain(x, base, tw)
         assert c0 / c1 == pytest.approx(b(g) * b(h) / b(g * h), rel=1e-9)
+
+
+def _term_by_term(loop, grid):
+    z = np.exp(2j * np.pi * (np.arange(grid) / grid))
+    if loop.is_monomial:
+        return loop.mu * z**loop.n
+    vals = np.zeros(grid, dtype=complex)
+    for k, c in loop.coeffs:
+        vals += c * z**k
+    return vals
+
+
+def test_loop_samples_cached_bit_for_bit_and_read_only():
+    for loop in (ci.Loop.laurent([0.3, 2.0, 0.5 + 0.1j], -1), ci.Loop.monomial(0.8 + 0.7j, 3)):
+        vals = loop.samples()
+        assert vals.tobytes() == _term_by_term(loop, ci.GRID).tobytes()
+        assert loop.samples() is vals
+        with pytest.raises(ValueError):
+            vals[0] = 0.0
+
+
+def test_other_grids_compute_fresh():
+    # z^600 + 0.1 turns 600 times; on 1024 points each step is more than
+    # half a turn, so the sampled argument runs backwards
+    fast = ci.Loop.laurent([0.1] + [0.0] * 599 + [1.0], 0)
+    assert ci.winding_number(fast) == 600
+    assert ci.winding_number(fast, grid=1024) == 600 - 1024
+    coarse = fast.samples(grid=1024)
+    assert coarse.tobytes() == _term_by_term(fast, 1024).tobytes()
+    coarse[0] = 0.0  # a fresh array, not the cached one
+    assert fast.samples()[0] != 0.0
+
+
+def test_loop_equality_ignores_cached_samples():
+    a = ci.Loop.laurent([0.3, 2.0, 0.5], -1)
+    b = ci.Loop(1.0, 0, a.coeffs, a.k_min)
+    ci.winding_number(a)
+    assert "_samples" in vars(a) and "_samples" not in vars(b)
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+
+
+def test_window_cache_tells_apart_loops_equal_to_six_digits():
+    # 1.000004 and the unit loop print alike to six significant digits; the
+    # pairing must see the first one, (1.000004)^(w(v) s)
+    u = ci.Loop.monomial(1.000004, 0)
+    v = ci.Loop.laurent([0.3, 2.0, 0.5], 0)
+    want = ci.tame_symbol_formula(u, v) ** ci.convention_exponent()
+    assert abs(ci.steinberg_pairing(u, v, 64) - want) <= ci.PAIRING_REL_TOL * abs(want)
+
+
+def _count_calls(monkeypatch, cls, name):
+    calls = []
+    real = getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_each_composition_composes_once(monkeypatch):
+    from detline.lattice import FiberedLatticeOp
+    from detline.windows import DenseOp
+
+    ctx = ci.WindowContext(64)
+    v = ci.Loop.laurent([0.3, 2.0, 0.5], -1)
+    x, y = ci._win_alpha(ctx, ONE, Z, 64), ci._win_alpha(ctx, Z, v, 63)
+    composed = _count_calls(monkeypatch, DenseOp, "compose")
+    ci._win_compose(ctx, x, y)
+    assert len(composed) == 1
+
+    composed = _count_calls(monkeypatch, FiberedLatticeOp, "compose")
+    ci._mono_compose(ci._MonoMor(0, 1, 1.0), ci._MonoMor(1, 3, 2.0))
+    assert len(composed) == 1
+
+
+def test_pairing_decomposes_each_window_operator_once(monkeypatch):
+    from detline.windows import DenseOp
+
+    fresh = []
+    real = DenseOp._decompose
+
+    def counted(self):
+        if self._svd is None:
+            fresh.append(1)
+        return real(self)
+
+    monkeypatch.setattr(DenseOp, "_decompose", counted)
+    ci.steinberg_pairing(Z, ci.Loop.laurent([0.3, 2.0, 0.5], -1), 64, certify=False)
+    assert len(fresh) == 26

@@ -91,6 +91,15 @@ def test_tame_command_laurent_pair(capsys):
     assert abs(pipe - want) <= 1e-6 * abs(want)
 
 
+def test_tame_command_constant_close_to_one(capsys):
+    # 1.000004 and 1 agree to six significant digits, and must not share
+    # a windowed operator
+    code, out = run(capsys, "tame", "(1.000004,0)", "(0.3,0):(2,0):(0.5,0)@0", "--numeric", "64")
+    assert code == 0
+    pipe = json.loads(out)["determinant_pipeline"]
+    assert complex(pipe["re"], pipe["im"]) == pytest.approx(1 / 1.000004, rel=1e-9)
+
+
 def test_tame_command_exits_1_on_oracle_mismatch(capsys, monkeypatch):
     ci.convention_exponent(48)  # probe the orientation with the true integral
     formula = ci.tame_symbol_formula
