@@ -71,10 +71,6 @@ def full_box(dim: int) -> Box:
     return Box(tuple((None, None) for _ in range(dim)))
 
 
-def point_box(pt) -> Box:
-    return Box(tuple((x, x + 1) for x in pt))
-
-
 class BoxUnion:
     """A finite union of boxes with set semantics and a canonical form."""
 
@@ -112,8 +108,8 @@ class BoxUnion:
         return BoxUnion(self.dim, out)
 
     def subtract(self, other: "BoxUnion") -> "BoxUnion":
-        cells = []
-        for cell in _cells(self.boxes + other.boxes, self.dim):
+        cells = []  # cells outside self's hull are outside self
+        for cell in _cells(self.boxes + other.boxes, _hull(self.boxes)):
             rep = _cell_rep(cell)
             if self.contains(rep) and not other.contains(rep):
                 cells.append(cell)
@@ -188,11 +184,26 @@ def _axis_atoms(boxes, axis):
     return atoms
 
 
-def _cells(boxes, dim):
-    """Atomic grid cells spanned by all breakpoints of the given boxes."""
-    per_axis = [_axis_atoms(boxes, ax) for ax in range(dim)]
+def _hull(boxes) -> Box:
+    """Bounding box of the given boxes; each of its bounds is one of theirs."""
+    if len(boxes) == 1:
+        return boxes[0]
+    axes = []
+    for ivls in zip(*(b.axes for b in boxes)):
+        los, his = [lo for lo, _ in ivls], [hi for _, hi in ivls]
+        axes.append((None if None in los else min(los), None if None in his else max(his)))
+    return Box(tuple(axes))
+
+
+def _cells(boxes, within: Box):
+    """Atomic grid cells spanned by all breakpoints of the boxes, inside
+    `within`; its bounds must be breakpoints, so no cell straddles them."""
+    per_axis = [
+        [a for a in _axis_atoms(boxes, ax) if _ivl_intersect(a, iv) == a]
+        for ax, iv in enumerate(within.axes)
+    ]
     for combo in itertools.product(*per_axis):
-        yield Box(tuple(combo))
+        yield Box(combo)
 
 
 def _cell_rep(cell: Box):
@@ -209,8 +220,10 @@ def _cell_rep(cell: Box):
 
 def _slabs(boxes, dim):
     """Recursive canonical decomposition: tuple of axis tuples."""
+    if len(boxes) <= 1:  # at most one box is its own decomposition
+        return tuple(b.axes for b in boxes)
     if dim == 0:
-        return ((),) if boxes else ()
+        return ((),)
     out = []
     for atom in _axis_atoms(boxes, 0):
         rep = atom[0] if atom[0] is not None else (atom[1] - 1 if atom[1] is not None else 0)

@@ -105,17 +105,12 @@ class Loop:
 
 
 def _loop_from_fft(coeffs, tol=1e-12):
-    n = len(coeffs)
-    pairs = []
-    for i, c in enumerate(coeffs):
-        k = i if i <= n // 2 else i - n
-        if abs(c) > tol:
-            pairs.append((k, complex(c)))
-    pairs.sort()
-    k_min = pairs[0][0]
-    dense = {k: c for k, c in pairs}
-    seq = [dense.get(k, 0.0) for k in range(k_min, pairs[-1][0] + 1)]
-    return Loop.laurent(seq, k_min)
+    """The Laurent loop of the FFT coefficients above tol (index i > n/2 is i - n)."""
+    idx = np.flatnonzero(np.abs(coeffs) > tol)
+    ks = np.where(idx <= len(coeffs) // 2, idx, idx - len(coeffs))
+    seq = np.zeros(ks.max() - ks.min() + 1, dtype=complex)
+    seq[ks - ks.min()] = coeffs[idx]
+    return Loop.laurent(seq, int(ks.min()))
 
 
 def winding_number(u: Loop, grid=GRID) -> int:

@@ -19,7 +19,7 @@ from math import prod
 import numpy as np
 
 from . import _linalg
-from ._intervals import Box, BoxUnion, _cell_rep, _cells, full_box
+from ._intervals import Box, BoxUnion, _cell_rep, _cells, _hull, full_box
 from .errors import (
     NotDeterminantClass,
     NotFiniteRank,
@@ -109,13 +109,19 @@ class Presentation:
 
 
 def _canonical_cells(pairs, support: BoxUnion):
-    """Disjoint (value, box) cells of a coefficient-box sum on a support."""
-    if not pairs:
+    """Disjoint (value, box) cells of a coefficient-box sum on a support.
+
+    Only cells inside the hulls of both the support and the pair boxes are
+    visited: every other cell lies outside the support or sums to zero.
+    """
+    sup_boxes = support.canonical_boxes()
+    if not pairs or not sup_boxes:
         return ()
-    dim = support.dim
-    boxes = [b for _, b in pairs] + list(support.canonical_boxes())
+    hull = _hull(sup_boxes).intersect(_hull([b for _, b in pairs]))
+    if hull is None:
+        return ()
     out = []
-    for cell in _cells(boxes, dim):
+    for cell in _cells([b for _, b in pairs] + list(sup_boxes), hull):
         rep = _cell_rep(cell)
         if not support.contains(rep):
             continue
@@ -184,7 +190,8 @@ class FiberedLatticeOp:
         for (i, j), pairs in entries.items():
             if not (0 <= i < len(cod) and 0 <= j < len(dom)):
                 raise ShapeMismatch("entry index out of range")
-            sup = cod.slots[i].support.intersect(dom.slots[j].support)
+            c_sup, d_sup = cod.slots[i].support, dom.slots[j].support
+            sup = c_sup if c_sup == d_sup else c_sup.intersect(d_sup)
             cells = _canonical_cells(list(pairs), sup)
             if cells:
                 ents[(i, j)] = cells
@@ -213,11 +220,10 @@ class FiberedLatticeOp:
         """Slotwise inclusion mapping sub slot j to sup slot positions[j]."""
         entries = {}
         for j, pos in enumerate(positions):
-            if not sub.slots[j].support.subtract(sup.slots[pos].support).is_empty():
+            source = sub.slots[j].support
+            if source.intersect(sup.slots[pos].support) != source:
                 raise ShapeMismatch("inclusion target does not contain source")
-            entries[(pos, j)] = [
-                (1.0, b) for b in sub.slots[j].support.canonical_boxes()
-            ]
+            entries[(pos, j)] = [(1.0, b) for b in source.canonical_boxes()]
         return cls(sub, sup, entries)
 
     # -- elementary algebra ---------------------------------------------------
@@ -607,7 +613,7 @@ class FiberedLatticeOp:
         if not boxes:
             boxes = [full_box(self.dim)]
         entries = {}
-        for cell in _cells(boxes, self.dim):
+        for cell in _cells(boxes, full_box(self.dim)):
             rep = _cell_rep(cell)
             mat, dom_a, cod_a = self.fiber(rep)
             if len(dom_a) != len(cod_a):

@@ -315,3 +315,41 @@ def test_pairing_decomposes_each_window_operator_once(monkeypatch):
     monkeypatch.setattr(DenseOp, "_decompose", counted)
     ci.steinberg_pairing(Z, ci.Loop.laurent([0.3, 2.0, 0.5], -1), 64, certify=False)
     assert len(fresh) == 26
+
+
+def _ref_loop_from_fft(coeffs, tol=1e-12):
+    # the per-coefficient loop the vectorised filter replaced
+    n = len(coeffs)
+    pairs = []
+    for i, c in enumerate(coeffs):
+        k = i if i <= n // 2 else i - n
+        if abs(c) > tol:
+            pairs.append((k, complex(c)))
+    pairs.sort()
+    k_min = pairs[0][0]
+    dense = {k: c for k, c in pairs}
+    seq = [dense.get(k, 0.0) for k in range(k_min, pairs[-1][0] + 1)]
+    return ci.Loop.laurent(seq, k_min)
+
+
+def test_loop_from_fft_matches_the_loop_reference():
+    rng = np.random.default_rng(17)
+    spectra = []
+    for _ in range(12):
+        k_min = int(rng.integers(-5, 3))
+        n = int(rng.integers(1, 6))
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        c[int(rng.integers(len(c)))] += 6.0  # a dominant term keeps the loop nonvanishing
+        u = ci.Loop.laurent(list(c), k_min)
+        spectra.append(np.fft.fft(u.samples() * Z.samples()) / ci.GRID)
+    single = np.zeros(ci.GRID, dtype=complex)
+    single[ci.GRID - 6] = 0.5 - 2j  # the lone coefficient of z^-6
+    near_tol = np.array(spectra[0])
+    near_tol[[7, 9, ci.GRID - 9]] = 2e-12, 1e-12, 5e-13  # kept, dropped at tol, dropped
+    nyquist = np.zeros(ci.GRID, dtype=complex)
+    nyquist[[0, ci.GRID // 2, ci.GRID // 2 + 1]] = 3.0, 0.5, 0.25j  # z^0, z^2048, z^-2047
+    for coeffs in spectra + [single, near_tol, nyquist]:
+        assert repr(ci._loop_from_fft(coeffs)) == repr(_ref_loop_from_fft(coeffs))
+    assert ci._loop_from_fft(single).coeffs == ((-6, 0.5 - 2j),)
+    u, v = ci.Loop.laurent([0.3, 2.0, 0.1], -1), ci.Loop.laurent([0.5, 3.0], -1)
+    assert repr(u * v) == repr(_ref_loop_from_fft(np.fft.fft(u.samples() * v.samples()) / ci.GRID))

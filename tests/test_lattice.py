@@ -1,10 +1,12 @@
 """Fibered lattice operators: algebra, kernels, determinants, windows."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from detline import _linalg
-from detline._intervals import Box, BoxUnion
+from detline import _linalg, lattice
+from detline._intervals import Box, BoxUnion, _axis_atoms, _cell_rep
 from detline.errors import NotDeterminantClass, NotFiniteRank, ShapeMismatch
 from detline.lattice import COEFF_TOL, FiberedLatticeOp, SlotSpace, pt_key
 from detline.torus import quadrant
@@ -614,3 +616,168 @@ def test_express_in_kernel_still_rejects_non_kernel_vectors():
         with pytest.raises(np.linalg.LinAlgError):
             _ref_express_in_kernel(op, vecs)
     assert np.array_equal(op.express_in_kernel(kers + kers), _ref_express_in_kernel(op, kers + kers))
+
+
+# -- construction against the reference geometry -------------------------------
+#
+# The references are the construction geometry that the hull-restricted code
+# replaced: every cell of the full breakpoint grid is visited, and inclusion
+# tests containment by enumerating the grid of a difference.
+
+
+def _ref_cells(boxes, dim):
+    per_axis = [_axis_atoms(boxes, ax) for ax in range(dim)]
+    for combo in itertools.product(*per_axis):
+        yield Box(tuple(combo))
+
+
+def _ref_canonical_cells(pairs, support):
+    if not pairs:
+        return ()
+    boxes = [b for _, b in pairs] + list(support.canonical_boxes())
+    out = []
+    for cell in _ref_cells(boxes, support.dim):
+        rep = _cell_rep(cell)
+        if not support.contains(rep):
+            continue
+        val = sum(c for c, b in pairs if b.contains(rep))
+        if abs(val) > COEFF_TOL:
+            out.append((complex(val), cell))
+    return tuple(out)
+
+
+def _ref_subtract(a, b):
+    cells = []
+    for cell in _ref_cells(a.boxes + b.boxes, a.dim):
+        rep = _cell_rep(cell)
+        if a.contains(rep) and not b.contains(rep):
+            cells.append(cell)
+    return BoxUnion(a.dim, cells)
+
+
+def _ref_inclusion(cls, sub, sup, positions):
+    entries = {}
+    for j, pos in enumerate(positions):
+        if not _ref_subtract(sub.slots[j].support, sup.slots[pos].support).is_empty():
+            raise ShapeMismatch("inclusion target does not contain source")
+        entries[(pos, j)] = [(1.0, b) for b in sub.slots[j].support.canonical_boxes()]
+    return cls(sub, sup, entries)
+
+
+def _ref_init(self, dom, cod, entries):
+    # each entry's support is always the intersection of its two slots
+    if dom.slots and cod.slots and dom.dim != cod.dim:
+        raise ShapeMismatch("domain/codomain lattice dimension mismatch")
+    self.dom, self.cod = dom, cod
+    self.dim = dom.dim if dom.slots else cod.dim
+    self.entries = {}
+    for (i, j), pairs in entries.items():
+        if not (0 <= i < len(cod) and 0 <= j < len(dom)):
+            raise ShapeMismatch("entry index out of range")
+        sup = cod.slots[i].support.intersect(dom.slots[j].support)
+        cells = _ref_canonical_cells(list(pairs), sup)
+        if cells:
+            self.entries[(i, j)] = cells
+    self._pres = self._cert = self._cuts = self._fibers = None
+
+
+def _use_reference_geometry(monkeypatch):
+    monkeypatch.setattr(FiberedLatticeOp, "__init__", _ref_init)
+    monkeypatch.setattr(FiberedLatticeOp, "inclusion", classmethod(_ref_inclusion))
+    monkeypatch.setattr(BoxUnion, "subtract", _ref_subtract)
+
+
+def _random_box(rng, dim, span=3):
+    """A box with each side bounded, or unbounded on one or both ends."""
+    axes = []
+    for _ in range(dim):
+        lo, hi = sorted(int(x) for x in rng.choice(np.arange(-span, span + 1), 2, replace=False))
+        kind = int(rng.choice(4, p=[0.55, 0.15, 0.2, 0.1]))
+        axes.append([(lo, hi), (None, hi), (lo, None), (None, None)][kind])
+    return Box(tuple(axes))
+
+
+def _random_union(rng, dim, most=3):
+    return BoxUnion(dim, [_random_box(rng, dim) for _ in range(int(rng.integers(1, most + 1)))])
+
+
+def _random_op(rng, dim):
+    """Multi-box slots and entries of 1-3 (coefficient, box) pairs per slot pair,
+    some of which cancel."""
+    dom = SlotSpace([(f"d{k}", _random_union(rng, dim)) for k in range(int(rng.integers(1, 3)))])
+    cod = SlotSpace([(f"c{k}", _random_union(rng, dim)) for k in range(int(rng.integers(1, 3)))])
+    entries = {}
+    for i in range(len(cod)):
+        for j in range(len(dom)):
+            pairs = [
+                (complex(*rng.standard_normal(2)), _random_box(rng, dim))
+                for _ in range(int(rng.integers(1, 4)))
+            ]
+            if rng.random() < 0.3:
+                pairs.append((-pairs[0][0], pairs[0][1]))
+            entries[(i, j)] = pairs
+    return FiberedLatticeOp(dom, cod, entries)
+
+
+def _construction_cases():
+    """Operators of every construction path, rebuilt identically on each call."""
+    rng, ops = _fibered_cases()  # random_fibered_op, torus F and Omega, L-shaped and holed slots
+    ops += [_random_op(rng, dim) for dim in (1, 2, 3) for _ in range(6)]
+    square = [op for op in ops if op.dom.compatible(op.cod)]
+    ops += [op.compose(op) for op in square]  # multi-pair entries
+    ops += [op.add(_finite_perturbation(rng, op)) for op in square[:8]]
+    ops += [FiberedLatticeOp.identity(op.dom).inverse() for op in square[:4]]
+    arms = [Box(((0, None), (0, None), (None, 2))), Box(((None, 0), (2, None), (-1, 4)))]
+    ell = BoxUnion(3, arms)
+    holed = ell.subtract(BoxUnion(3, [Box(((-1, 2), (1, 3), (0, 1)))]))
+    ops.append(FiberedLatticeOp.inclusion(SlotSpace([("a", holed)]), SlotSpace([("a", ell)]), [0]))
+    return ops
+
+
+def _geometry(op):
+    entries = {key: [(repr(v), b) for v, b in cells] for key, cells in op.entries.items()}
+    supports = [s.support.boxes for s in op.dom.slots + op.cod.slots]
+    return entries, supports, op._grid()
+
+
+def test_construction_matches_reference_geometry(monkeypatch):
+    ops = _construction_cases()
+    assert {op.dim for op in ops} == {1, 2, 3}
+    assert any(len(cells) > 1 for op in ops for cells in op.entries.values())
+    with monkeypatch.context() as m:
+        _use_reference_geometry(m)
+        refs = _construction_cases()
+    assert len(ops) == len(refs)
+    for op, ref in zip(ops, refs):
+        assert _geometry(op) == _geometry(ref)
+
+
+def test_inclusion_refuses_exactly_where_reference_containment_fails(monkeypatch):
+    rng = np.random.default_rng(7)
+    refused = 0
+    for dim in (1, 2, 3):
+        for _ in range(40):
+            sub = SlotSpace([("a", _random_union(rng, dim))])
+            sup = SlotSpace([("a", _random_union(rng, dim)), ("b", _random_union(rng, dim))])
+            pos = int(rng.integers(2))
+            try:
+                ref = _ref_inclusion(FiberedLatticeOp, sub, sup, [pos])
+            except ShapeMismatch:
+                refused += 1
+                with pytest.raises(ShapeMismatch):
+                    FiberedLatticeOp.inclusion(sub, sup, [pos])
+                continue
+            assert _geometry(FiberedLatticeOp.inclusion(sub, sup, [pos])) == _geometry(ref)
+    assert 20 < refused < 100
+
+
+def test_inclusion_refuses_an_l_shaped_source_poking_out():
+    ell = BoxUnion(2, [Box(((0, None), (0, None))), Box(((None, 0), (2, None)))])
+    target = BoxUnion(2, [Box(((-3, None), (0, None)))])  # misses x < -3 of the upper arm
+    with pytest.raises(ShapeMismatch):
+        FiberedLatticeOp.inclusion(SlotSpace([("a", ell)]), SlotSpace([("a", target)]), [0])
+    with pytest.raises(ShapeMismatch):
+        _ref_inclusion(FiberedLatticeOp, SlotSpace([("a", ell)]), SlotSpace([("a", target)]), [0])
+    wide = BoxUnion(2, [Box(((None, None), (0, None)))])
+    op = FiberedLatticeOp.inclusion(SlotSpace([("a", ell)]), SlotSpace([("a", wide)]), [0])
+    assert op.entries[(0, 0)] and all(v == 1.0 for v, _ in op.entries[(0, 0)])
