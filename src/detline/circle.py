@@ -3,12 +3,13 @@
 Monomial loops are handled exactly by the fibered d=1 calculus (Hardy
 projections become half-line indicators).  General nonvanishing Laurent
 loops run through windowed Toeplitz compressions in the translation
-gauge, certified by re-running at a larger window.
+gauge, certified by re-running at a larger window.  Both modes share one
+morphism calculus; only the factory that builds a morphism's operator differs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -132,11 +133,41 @@ def symbol_coeffs(u: Loop, v: Loop, band: int, grid=GRID):
     """Fourier coefficients of v^{-1} u on [-band, band] with tail report."""
     vals = u.samples(grid) * v.inverse_samples(grid)
     c = np.fft.fft(vals) / grid
-    out = {}
-    for k in range(-band, band + 1):
-        out[k] = complex(c[k % grid])
+    out = {k: complex(c[k % grid]) for k in range(-band, band + 1)}
     tail = np.max(np.abs(c[band + 1 : grid - band]), initial=0.0)
     return out, float(tail)
+
+
+# --------------------------------------------------------------------------
+# Morphism calculus, shared by both modes
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Mor:
+    """Morphism u -> v, coefficient relative to the frame of op(u, v, dom_n)
+    for the mode's operator factory: `_mor_op` or `WindowContext.toeplitz`."""
+
+    u: Loop
+    v: Loop
+    dom_n: int
+    coeff: complex
+
+
+def _compose(op, x: _Mor, y: _Mor) -> _Mor:
+    """y o x, scaled by the torsion of the composition and its perturbation."""
+    assert x.v == y.u
+    T, S = op(x.u, x.v, x.dom_n), op(y.u, y.v, y.dom_n)
+    comp = S.compose(T)
+    tors = fredlines.torsion(T, S, comp)
+    pert = fredlines.perturbation(comp, op(x.u, y.v, x.dom_n))
+    return _Mor(x.u, y.v, x.dom_n, x.coeff * y.coeff * tors.scalar * pert.scalar)
+
+
+def _invert(op, x: _Mor) -> _Mor:
+    """The inverse v -> u; its domain window is the codomain window of x."""
+    probe = _Mor(x.v, x.u, x.dom_n + winding_number(x.u) - winding_number(x.v), 1.0 + 0.0j)
+    return replace(probe, coeff=1.0 / _compose(op, x, probe).coeff)
 
 
 # --------------------------------------------------------------------------
@@ -144,50 +175,23 @@ def symbol_coeffs(u: Loop, v: Loop, band: int, grid=GRID):
 # --------------------------------------------------------------------------
 
 
-def _half(n: int) -> BoxUnion:
-    return BoxUnion(1, [Box(((n, None),))])
-
-
-def _mor_op(nu: int, nv: int) -> FiberedLatticeOp:
-    """P_v P_u : Im P_u -> Im P_v for monomial windings nu, nv."""
-    dom = SlotSpace([("u", _half(nu))])
-    cod = SlotSpace([("v", _half(nv))])
+def _mor_op(u: Loop, v: Loop, dom_n: int = 0) -> FiberedLatticeOp:
+    """P_v P_u : Im P_u -> Im P_v for monomial objects; dom_n is unused."""
+    nu, nv = u.n, v.n
+    dom = SlotSpace([("u", BoxUnion(1, [Box(((nu, None),))]))])
+    cod = SlotSpace([("v", BoxUnion(1, [Box(((nv, None),))]))])
     return FiberedLatticeOp(dom, cod, {(0, 0): [(1.0, Box(((max(nu, nv), None),)))]})
 
 
-@dataclass(frozen=True)
-class _MonoMor:
-    """Morphism u -> v in the exact circle category, frame coefficient."""
-
-    nu: int
-    nv: int
-    coeff: complex
-
-    def op(self) -> FiberedLatticeOp:
-        return _mor_op(self.nu, self.nv)
+def _mono(nu: int, nv: int, coeff) -> _Mor:
+    """Morphism z^nu -> z^nv of the exact circle category."""
+    return _Mor(Loop.monomial(1.0, nu), Loop.monomial(1.0, nv), 0, coeff)
 
 
-def _mono_compose(x: _MonoMor, y: _MonoMor) -> _MonoMor:
-    assert x.nv == y.nu
-    T, S = x.op(), y.op()
-    comp = S.compose(T)
-    tors = fredlines.torsion(T, S, comp)
-    target = _mor_op(x.nu, y.nv)
-    pert = fredlines.perturbation(comp, target)
-    return _MonoMor(x.nu, y.nv, x.coeff * y.coeff * tors.scalar * pert.scalar)
-
-
-def _mono_invert(x: _MonoMor) -> _MonoMor:
-    probe = _MonoMor(x.nv, x.nu, 1.0 + 0.0j)
-    s = _mono_compose(x, probe).coeff
-    return _MonoMor(x.nv, x.nu, 1.0 / s)
-
-
-def _mono_act(g: Loop, x: _MonoMor) -> _MonoMor:
+def _mono_act(g: Loop, x: _Mor) -> _Mor:
     """Conjugation: shift the lattice labels and scale by the degree power."""
-    T = x.op()
-    deg = T.presentation().degree
-    return _MonoMor(x.nu + g.n, x.nv + g.n, x.coeff * g.mu**deg)
+    deg = _mor_op(x.u, x.v).presentation().degree
+    return _mono(x.u.n + g.n, x.v.n + g.n, x.coeff * g.mu**deg)
 
 
 def cres_cochain_base(g: Loop, h: Loop, base: int, twist=None) -> complex:
@@ -197,12 +201,12 @@ def cres_cochain_base(g: Loop, h: Loop, base: int, twist=None) -> complex:
     """
     tw = twist or (lambda _g: 1.0)
     gh = g * h
-    a_gh = _MonoMor(base, base + gh.n, tw(gh))
-    a_h = _MonoMor(base, base + h.n, tw(h))
-    a_g = _MonoMor(base, base + g.n, tw(g))
-    gah_inv = _mono_act(g, _mono_invert(a_h))
-    loop = _mono_compose(_mono_compose(a_gh, gah_inv), _mono_invert(a_g))
-    assert loop.nu == base and loop.nv == base
+    a_gh = _mono(base, base + gh.n, tw(gh))
+    a_h = _mono(base, base + h.n, tw(h))
+    a_g = _mono(base, base + g.n, tw(g))
+    gah_inv = _mono_act(g, _invert(_mor_op, a_h))
+    loop = _compose(_mor_op, _compose(_mor_op, a_gh, gah_inv), _invert(_mor_op, a_g))
+    assert loop.u == loop.v == Loop.monomial(1.0, base)
     return complex(loop.coeff)
 
 
@@ -213,14 +217,14 @@ def base_change_cochain(g: Loop, base: int, twist=None) -> complex:
     an automorphism of the unit object; `twist` rescales beta_g.
     """
     tw = twist or (lambda _g: 1.0)
-    phi = _MonoMor(0, base, 1.0 + 0.0j)
-    beta_g = _MonoMor(base, base + g.n, tw(g))
-    g_phi_inv = _mono_act(g, _mono_invert(phi))
-    a_g_inv = _mono_invert(_MonoMor(0, g.n, 1.0 + 0.0j))
-    loop = _mono_compose(
-        _mono_compose(_mono_compose(phi, beta_g), g_phi_inv), a_g_inv
-    )
-    assert loop.nu == 0 and loop.nv == 0
+    phi = _mono(0, base, 1.0 + 0.0j)
+    beta_g = _mono(base, base + g.n, tw(g))
+    g_phi_inv = _mono_act(g, _invert(_mor_op, phi))
+    a_g_inv = _invert(_mor_op, _mono(0, g.n, 1.0 + 0.0j))
+    loop = phi
+    for x in (beta_g, g_phi_inv, a_g_inv):
+        loop = _compose(_mor_op, loop, x)
+    assert loop.u == loop.v == Loop.monomial(1.0, 0)
     return complex(loop.coeff)
 
 
@@ -264,28 +268,7 @@ class WindowContext:
         return fredlines.completed(op, op.dom_labels, op.cod_labels, pres.ker, pres.coker)
 
 
-@dataclass(frozen=True)
-class _WinMor:
-    """Morphism u -> v, coefficient relative to the frame of its window op."""
-
-    u: Loop
-    v: Loop
-    dom_n: int
-    coeff: complex
-
-
-def _win_compose(ctx: WindowContext, x: _WinMor, y: _WinMor) -> _WinMor:
-    T = ctx.toeplitz(x.u, x.v, x.dom_n)
-    S = ctx.toeplitz(y.u, y.v, y.dom_n)
-    assert S.dom_labels == T.cod_labels
-    comp = S.compose(T)
-    tors = fredlines.torsion(T, S, comp)
-    target = ctx.toeplitz(x.u, y.v, x.dom_n)
-    pert = fredlines.perturbation(comp, target)
-    return _WinMor(x.u, y.v, x.dom_n, x.coeff * y.coeff * tors.scalar * pert.scalar)
-
-
-def _win_alpha(ctx: WindowContext, u: Loop, v: Loop, dom_n: int) -> _WinMor:
+def _win_alpha(ctx: WindowContext, u: Loop, v: Loop, dom_n: int) -> _Mor:
     """The chosen isomorphism u -> v evaluated in its window line.
 
     Index-zero case: perturbation from the inverse of the completed
@@ -296,30 +279,23 @@ def _win_alpha(ctx: WindowContext, u: Loop, v: Loop, dom_n: int) -> _WinMor:
         sym = ctx.toeplitz(v, u, dom_n)  # compression of u^{-1} v
         inv = DenseOp(op.dom_labels, op.cod_labels, np.linalg.inv(ctx.completed(sym)))
         pert = fredlines.perturbation(inv, op)
-        return _WinMor(u, v, dom_n, pert.scalar)
-    return _WinMor(u, v, dom_n, 1.0 + 0.0j)
-
-
-def _win_invert(ctx: WindowContext, x: _WinMor) -> _WinMor:
-    probe = _WinMor(
-        x.v, x.u, x.dom_n + winding_number(x.u) - winding_number(x.v), 1.0 + 0.0j
-    )
-    s = _win_compose(ctx, x, probe).coeff
-    return _WinMor(probe.u, probe.v, probe.dom_n, 1.0 / s)
+        return _Mor(u, v, dom_n, pert.scalar)
+    return _Mor(u, v, dom_n, 1.0 + 0.0j)
 
 
 def _cres_window(g: Loop, h: Loop, n: int) -> complex:
     ctx = WindowContext(n)
+    op = ctx.toeplitz
     one = Loop.monomial(1.0, 0)
     gh = g * h
-    wg = winding_number(g)
     # chain 1 -> gh -> g -> 1 with matching windows
     a_gh = _win_alpha(ctx, one, gh, n)
-    # g(alpha_h) lives on the g -> gh line (the action is trivial in gauge)
-    g_ah = _win_alpha(ctx, g, gh, n - wg)
-    step1 = _win_compose(ctx, a_gh, _win_invert(ctx, g_ah))
-    a_g = _win_alpha(ctx, one, g, n)
-    loop = _win_compose(ctx, step1, _win_invert(ctx, a_g))
+    # Known defect: taking g(alpha_h) as trivial in gauge keeps the winding shift
+    # but drops the Hankel term of T(g)T(h) - T(gh), so winding-zero pairs are wrong.
+    g_ah = _win_alpha(ctx, g, gh, n - winding_number(g))
+    step1 = _compose(op, a_gh, _invert(op, g_ah))
+    loop = _compose(op, step1, _invert(op, _win_alpha(ctx, one, g, n)))
+    assert loop.u == loop.v == one
     return complex(loop.coeff)
 
 

@@ -3,15 +3,14 @@
 The categorical pipeline computes the cochain value from the chosen
 objects and connecting isomorphisms via coproduct, group action and
 composition; the closed form is the independent oracle for nonnegative
-exponents.  Values are compared either exactly in C^* or in the quotient
-C^*/{+-1} via a canonical representative.
+exponents, and the triple symbol is the oracle of the homology pairing
+for all exponents.  Values are compared either exactly in C^* or in the
+quotient C^*/{+-1} via a canonical representative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import coproduct as cp
 from .errors import ExponentRange
@@ -160,54 +159,15 @@ def pair_homology(cycle: HomologyCycle3, ctx=None) -> complex:
     return value
 
 
-def _log_path(values):
-    """Continuous logarithm along a sampled path, principal at the start."""
-    from .errors import BranchJump
+def triple_symbol(f: Monomial2, g: Monomial2, h: Monomial2) -> complex:
+    """Closed form of the alternating pairing on f, g, h, up to sign.
 
-    logs = np.empty(len(values), dtype=complex)
-    logs[0] = np.log(values[0])
-    for i in range(1, len(values)):
-        step = values[i] / values[i - 1]
-        d = np.log(step)
-        if abs(d.imag) > np.pi / 2:
-            raise BranchJump("log branch jump; refine the grid")
-        logs[i] = logs[i - 1] + d
-    return logs
-
-
-def conjecture_probe(f: Monomial2, g: Monomial2, h: Monomial2, grid=256, ctx=None):
-    """Exploratory comparison of the pairing with the integral formula.
-
-    Returns (pairing value, formula value, ratio); nothing is asserted.
+    mu_f^det(g,h) mu_g^det(h,f) mu_h^det(f,g) with det(x, y) = x.a y.b - x.b y.a:
+    a Parshin-type symbol, the 2-torus analogue of the tame symbol.  It equals
+    pair_homology(HomologyCycle3.alternating(f, g, h)) in C^*/{+-1}.
     """
-    ctx = ctx or _context()
-    pairing = pair_homology(HomologyCycle3.alternating(f, g, h), ctx)
 
-    ts = np.linspace(0.0, 1.0, grid + 1)
+    def det(x, y):
+        return x.a * y.b - x.b * y.a
 
-    def ev(m: Monomial2, t, s):
-        return m.mu * np.exp(2j * np.pi * (m.a * t + m.b * s))
-
-    # area term: log(f)/(g h) dg ^ dh pulled back to the unit square
-    jac = (2j * np.pi) ** 2 * (g.a * h.b - g.b * h.a)
-    t2, s2 = np.meshgrid(ts, ts, indexing="ij")
-    logf = np.log(f.mu) + 2j * np.pi * (f.a * t2 + f.b * s2)
-    area = np.trapezoid(np.trapezoid(logf * jac, ts, axis=1), ts)
-    term1 = np.exp(2.0 / (2j * np.pi) ** 2 * area)
-
-    # boundary terms along {1} x [0,1] and [0,1] x {1}
-    def boundary(fix_axis):
-        if fix_axis == 0:
-            gs = ev(g, 0.0, ts)
-        else:
-            gs = ev(g, ts, 0.0)
-        logg = _log_path(gs)
-        dh = 2j * np.pi * (h.b if fix_axis == 0 else h.a)
-        return np.trapezoid(logg * dh, ts)
-
-    w1f, w2f = f.a, f.b
-    term2 = np.exp(-w1f / (1j * np.pi) * boundary(0) + w2f / (1j * np.pi) * boundary(1))
-    term3 = h.mu ** (2 * (f.a * g.b - g.a * f.b))
-    formula = term1 * term2 * term3
-    ratio = pairing / formula
-    return complex(pairing), complex(formula), complex(ratio)
+    return complex(f.mu ** det(g, h) * g.mu ** det(h, f) * h.mu ** det(f, g))

@@ -132,11 +132,11 @@ def _canonical_cells(pairs, support: BoxUnion):
 
 
 def _grid_cells(cuts, bounded):
-    """(box, point in it) of each bounded, or else unbounded, grid cell.
+    """(index, box, point in it) of each bounded, or else unbounded, grid cell.
 
     `cuts` holds the sorted breakpoints of each axis; cell i of an axis
     spans [cuts[i-1], cuts[i]), unbounded below for i = 0 and above for
-    i = len(cuts).
+    i = len(cuts).  The index is the tuple of these per-axis i.
     """
     ranges = [range(1, len(c)) if bounded else range(len(c) + 1) for c in cuts]
     for idx in itertools.product(*ranges):
@@ -145,7 +145,7 @@ def _grid_cells(cuts, bounded):
                 (c[i - 1] if i else None, c[i] if i < len(c) else None)
                 for c, i in zip(cuts, idx)
             ))
-            yield box, _cell_rep(box)
+            yield idx, box, _cell_rep(box)
 
 
 def _joint_cuts(*ops):
@@ -234,9 +234,13 @@ class FiberedLatticeOp:
         The fiber is constant on each cell of the grid cut at the sorted
         breakpoints; the fibers of all cells are built on first use.
         """
+        return self._cell_fiber(tuple(bisect_right(c, x) for c, x in zip(self._grid(), pt)))
+
+    def _cell_fiber(self, idx):
+        """Fiber of the grid cell with per-axis index idx, as `_grid_cells` gives it."""
         if self._fibers is None:
             self._fibers = self._cell_fibers()
-        return self._fibers[tuple(bisect_right(c, x) for c, x in zip(self._grid(), pt))]
+        return self._fibers[idx]
 
     def _cell_fibers(self):
         """Fiber of every grid cell, keyed by its per-axis bisect index."""
@@ -324,7 +328,7 @@ class FiberedLatticeOp:
         return all(
             _fibers_agree(psi.fiber(pt)[0] @ T1.fiber(pt)[0], self.fiber(pt)[0] @ phi.fiber(pt)[0])
             for bounded in (True, False)
-            for _, pt in _grid_cells(cuts, bounded)
+            for _, _, pt in _grid_cells(cuts, bounded)
         )
 
     def finite_difference(self, other: "FiberedLatticeOp") -> bool:
@@ -333,7 +337,7 @@ class FiberedLatticeOp:
             raise ShapeMismatch("finite_difference: slot spaces differ")
         return all(
             _fibers_agree(self.fiber(pt)[0], other.fiber(pt)[0])
-            for _, pt in _grid_cells(_joint_cuts(self, other), bounded=False)
+            for _, _, pt in _grid_cells(_joint_cuts(self, other), bounded=False)
         )
 
     # -- grid cells and probe geometry ----------------------------------------
@@ -366,8 +370,8 @@ class FiberedLatticeOp:
     def certify_fredholm(self):
         """Check that the fiber of every unbounded grid cell is bijective."""
         if self._cert is None:
-            for _, pt in _grid_cells(self._grid(), bounded=False):
-                mat, dom_a, cod_a = self.fiber(pt)
+            for idx, _, pt in _grid_cells(self._grid(), bounded=False):
+                mat, dom_a, cod_a = self._cell_fiber(idx)
                 if len(dom_a) != len(cod_a):
                     raise NotFredholm(f"non-square asymptotic fiber at {pt}")
                 if dom_a and abs(_linalg.det(mat)) <= SINGULAR_DET_TOL:
@@ -386,8 +390,8 @@ class FiberedLatticeOp:
         if self._pres is None:
             self.certify_fredholm()
             found, solved = [], {}
-            for box, pt in _grid_cells(self._grid(), bounded=True):
-                mat, dom_a, cod_a = self.fiber(pt)
+            for idx, box, _ in _grid_cells(self._grid(), bounded=True):
+                mat, dom_a, cod_a = self._cell_fiber(idx)
                 if not dom_a and not cod_a:
                     continue
                 key = (mat.shape, mat.tobytes())
@@ -508,7 +512,7 @@ class FiberedLatticeOp:
         """
         p1, p2 = self.presentation(), other.presentation()
         exceptional = set()
-        for box, pt in _grid_cells(_joint_cuts(self, other), bounded=True):
+        for _, box, pt in _grid_cells(_joint_cuts(self, other), bounded=True):
             m1, d1, c1 = self.fiber(pt)
             m2 = other.fiber(pt)[0]
             if (
@@ -576,15 +580,15 @@ class FiberedLatticeOp:
         """Product over bounded grid cells of det(fiber)^|cell|."""
         if not self.dom.compatible(self.cod):
             raise NotDeterminantClass("domain and codomain differ")
-        for _, pt in _grid_cells(self._grid(), bounded=False):
-            mat, dom_a, cod_a = self.fiber(pt)
+        for idx, _, pt in _grid_cells(self._grid(), bounded=False):
+            mat, dom_a, cod_a = self._cell_fiber(idx)
             if dom_a != cod_a or (
                 mat.size and np.max(np.abs(mat - np.eye(len(dom_a)))) > IDENTITY_TOL
             ):
                 raise NotDeterminantClass(f"asymptotic fiber at {pt} is not identity")
         val = 1.0 + 0.0j
-        for box, pt in _grid_cells(self._grid(), bounded=True):
-            mat, dom_a, cod_a = self.fiber(pt)
+        for idx, box, pt in _grid_cells(self._grid(), bounded=True):
+            mat, dom_a, cod_a = self._cell_fiber(idx)
             if len(dom_a) != len(cod_a):
                 raise NotDeterminantClass(f"non-square fiber at {pt}")
             if dom_a:
@@ -596,8 +600,8 @@ class FiberedLatticeOp:
         if not self.is_finite_box():
             raise NotFiniteRank("entries not supported on finite boxes")
         total = 0.0
-        for box, pt in _grid_cells(self._grid(), bounded=True):
-            mat = self.fiber(pt)[0]
+        for idx, box, _ in _grid_cells(self._grid(), bounded=True):
+            mat = self._cell_fiber(idx)[0]
             if mat.size:
                 total += _box_size(box) * float(np.sum(np.linalg.svd(mat, compute_uv=False)))
         return total

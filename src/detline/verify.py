@@ -113,22 +113,18 @@ def random_dense_chain(rng, sizes=None):
     if sizes is None:
         sizes = [int(rng.integers(2, 5)) for _ in range(4)]
 
-    def mk(n_in, n_out):
+    def mk(dom, cod):
+        n_in, n_out = len(dom), len(cod)
         r = int(min(n_in, n_out) if rng.random() < 0.5 else rng.integers(0, min(n_in, n_out) + 1))
         core = np.zeros((n_out, n_in), dtype=complex)
         for i in range(r):
             core[i, i] = 1.0
         a = _well_conditioned(rng, n_in)
         b = _well_conditioned(rng, n_out)
-        return DenseOp(list(range(n_in)), list(range(n_in, n_in + n_out)), b @ core @ a)
+        return DenseOp(dom, cod, b @ core @ a)
 
-    ops = []
-    for k in range(len(sizes) - 1):
-        op = mk(sizes[k], sizes[k + 1])
-        op.dom_labels = [("s", k, i) for i in range(sizes[k])]
-        op.cod_labels = [("s", k + 1, i) for i in range(sizes[k + 1])]
-        ops.append(DenseOp(op.dom_labels, op.cod_labels, op.matrix))
-    return ops
+    labels = [[("s", k, i) for i in range(n)] for k, n in enumerate(sizes)]
+    return [mk(labels[k], labels[k + 1]) for k in range(len(sizes) - 1)]
 
 
 def _well_conditioned(rng, n):
@@ -550,6 +546,12 @@ def suite_category(trials, seed):
 # --------------------------------------------------------------------------
 
 
+def _class_err(a, b):
+    """Relative distance of the classes of a and b in C^*/{+-1}."""
+    ra, rb = c3.class_representative(a), c3.class_representative(b)
+    return abs(ra - rb) / abs(rb)
+
+
 def suite_cocycle(trials, seed):
     checks = []
     ctx = c3._context()
@@ -580,11 +582,16 @@ def suite_cocycle(trials, seed):
         cyc = c3.HomologyCycle3.alternating(
             Monomial2(1, 1, 0), Monomial2(1, 0, 1), Monomial2(lam, 0, 0)
         )
-        val = c3.pair_homology(cyc, ctx)
-        ra = c3.class_representative(val)
-        rb = c3.class_representative(lam)
-        err = max(err, abs(ra - rb) / abs(rb))
+        err = max(err, _class_err(c3.pair_homology(cyc, ctx), lam))
     checks.append(_check("homology_pairing", err))
+
+    def symbol(rng):
+        # the pairing and its closed form agree in C^*/{+-1}, for signed exponents
+        f, g, h = (random_monomial(rng, 3, -3) for _ in range(3))
+        val = c3.pair_homology(c3.HomologyCycle3.alternating(f, g, h), ctx)
+        return _class_err(val, c3.triple_symbol(f, g, h))
+
+    checks.append(_check("triple_symbol", _run_trials(symbol, trials, seed + 3)))
     return checks
 
 

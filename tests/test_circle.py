@@ -1,12 +1,18 @@
 """Circle loops: winding, the restricted cocycle, pairings, tame symbols."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from detline import circle as ci
+from detline import fredlines
+from detline._intervals import Box, BoxUnion
 from detline.errors import BranchJump, Uncertified
 from detline.windows import certify_stable
 from detline.errors import Unstable
+from detline.lattice import FiberedLatticeOp, SlotSpace
+from detline.windows import DenseOp
 
 Z = ci.Loop.monomial(1.0, 1)
 ONE = ci.Loop.monomial(1.0, 0)
@@ -293,11 +299,11 @@ def test_each_composition_composes_once(monkeypatch):
     v = ci.Loop.laurent([0.3, 2.0, 0.5], -1)
     x, y = ci._win_alpha(ctx, ONE, Z, 64), ci._win_alpha(ctx, Z, v, 63)
     composed = _count_calls(monkeypatch, DenseOp, "compose")
-    ci._win_compose(ctx, x, y)
+    ci._compose(ctx.toeplitz, x, y)
     assert len(composed) == 1
 
     composed = _count_calls(monkeypatch, FiberedLatticeOp, "compose")
-    ci._mono_compose(ci._MonoMor(0, 1, 1.0), ci._MonoMor(1, 3, 2.0))
+    ci._compose(ci._mor_op, ci._mono(0, 1, 1.0), ci._mono(1, 3, 2.0))
     assert len(composed) == 1
 
 
@@ -353,3 +359,166 @@ def test_loop_from_fft_matches_the_loop_reference():
     assert ci._loop_from_fft(single).coeffs == ((-6, 0.5 - 2j),)
     u, v = ci.Loop.laurent([0.3, 2.0, 0.1], -1), ci.Loop.laurent([0.5, 3.0], -1)
     assert repr(u * v) == repr(_ref_loop_from_fft(np.fft.fft(u.samples() * v.samples()) / ci.GRID))
+
+
+# The two per-mode copies of the morphism calculus that the shared `_Mor`,
+# `_compose` and `_invert` replaced, kept as the reference they must match
+# bit for bit.
+
+
+def _ref_mor_op(nu, nv):
+    half = lambda n: BoxUnion(1, [Box(((n, None),))])  # noqa: E731
+    dom = SlotSpace([("u", half(nu))])
+    cod = SlotSpace([("v", half(nv))])
+    return FiberedLatticeOp(dom, cod, {(0, 0): [(1.0, Box(((max(nu, nv), None),)))]})
+
+
+@dataclass(frozen=True)
+class _MonoMor:
+    nu: int
+    nv: int
+    coeff: complex
+
+    def op(self):
+        return _ref_mor_op(self.nu, self.nv)
+
+
+def _mono_compose(x, y):
+    assert x.nv == y.nu
+    T, S = x.op(), y.op()
+    comp = S.compose(T)
+    tors = fredlines.torsion(T, S, comp)
+    pert = fredlines.perturbation(comp, _ref_mor_op(x.nu, y.nv))
+    return _MonoMor(x.nu, y.nv, x.coeff * y.coeff * tors.scalar * pert.scalar)
+
+
+def _mono_invert(x):
+    s = _mono_compose(x, _MonoMor(x.nv, x.nu, 1.0 + 0.0j)).coeff
+    return _MonoMor(x.nv, x.nu, 1.0 / s)
+
+
+def _mono_act(g, x):
+    deg = x.op().presentation().degree
+    return _MonoMor(x.nu + g.n, x.nv + g.n, x.coeff * g.mu**deg)
+
+
+def _ref_cres_cochain_base(g, h, base, twist=None):
+    tw = twist or (lambda _g: 1.0)
+    gh = g * h
+    a_gh = _MonoMor(base, base + gh.n, tw(gh))
+    a_h = _MonoMor(base, base + h.n, tw(h))
+    a_g = _MonoMor(base, base + g.n, tw(g))
+    gah_inv = _mono_act(g, _mono_invert(a_h))
+    loop = _mono_compose(_mono_compose(a_gh, gah_inv), _mono_invert(a_g))
+    assert loop.nu == base and loop.nv == base
+    return complex(loop.coeff)
+
+
+def _ref_base_change_cochain(g, base, twist=None):
+    tw = twist or (lambda _g: 1.0)
+    phi = _MonoMor(0, base, 1.0 + 0.0j)
+    beta_g = _MonoMor(base, base + g.n, tw(g))
+    g_phi_inv = _mono_act(g, _mono_invert(phi))
+    a_g_inv = _mono_invert(_MonoMor(0, g.n, 1.0 + 0.0j))
+    loop = _mono_compose(_mono_compose(_mono_compose(phi, beta_g), g_phi_inv), a_g_inv)
+    assert loop.nu == 0 and loop.nv == 0
+    return complex(loop.coeff)
+
+
+@dataclass(frozen=True)
+class _WinMor:
+    u: object
+    v: object
+    dom_n: int
+    coeff: complex
+
+
+def _win_compose(ctx, x, y):
+    T = ctx.toeplitz(x.u, x.v, x.dom_n)
+    S = ctx.toeplitz(y.u, y.v, y.dom_n)
+    assert S.dom_labels == T.cod_labels
+    comp = S.compose(T)
+    tors = fredlines.torsion(T, S, comp)
+    pert = fredlines.perturbation(comp, ctx.toeplitz(x.u, y.v, x.dom_n))
+    return _WinMor(x.u, y.v, x.dom_n, x.coeff * y.coeff * tors.scalar * pert.scalar)
+
+
+def _win_alpha(ctx, u, v, dom_n):
+    op = ctx.toeplitz(u, v, dom_n)
+    if ci.winding_number(u) == ci.winding_number(v):
+        sym = ctx.toeplitz(v, u, dom_n)
+        inv = DenseOp(op.dom_labels, op.cod_labels, np.linalg.inv(ctx.completed(sym)))
+        return _WinMor(u, v, dom_n, fredlines.perturbation(inv, op).scalar)
+    return _WinMor(u, v, dom_n, 1.0 + 0.0j)
+
+
+def _win_invert(ctx, x):
+    shift = ci.winding_number(x.u) - ci.winding_number(x.v)
+    probe = _WinMor(x.v, x.u, x.dom_n + shift, 1.0 + 0.0j)
+    s = _win_compose(ctx, x, probe).coeff
+    return _WinMor(probe.u, probe.v, probe.dom_n, 1.0 / s)
+
+
+def _ref_cres_window(g, h, n):
+    ctx = ci.WindowContext(n)
+    one = ci.Loop.monomial(1.0, 0)
+    gh = g * h
+    a_gh = _win_alpha(ctx, one, gh, n)
+    g_ah = _win_alpha(ctx, g, gh, n - ci.winding_number(g))
+    step1 = _win_compose(ctx, a_gh, _win_invert(ctx, g_ah))
+    a_g = _win_alpha(ctx, one, g, n)
+    return complex(_win_compose(ctx, step1, _win_invert(ctx, a_g)).coeff)
+
+
+def _random_scalar(rng):
+    return complex(rng.uniform(0.5, 2) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+
+
+def _random_laurent(rng):
+    # a dominant coefficient keeps the loop nonvanishing; its place sets the winding
+    k_min, size = int(rng.integers(-2, 1)), int(rng.integers(1, 4))
+    c = 0.3 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    c[int(rng.integers(size))] += _random_scalar(rng) * 4.0
+    return ci.Loop.laurent(list(c), k_min)
+
+
+def _twist(seed):
+    def tw(x):
+        r = np.random.default_rng((seed, x.n & 0xFFFF, int(abs(x.mu) * 1e6) & 0xFFFFFF))
+        return _random_scalar(r)
+
+    return tw
+
+
+def test_monomial_calculus_matches_the_per_mode_reference():
+    rng = np.random.default_rng(41)
+    for t in range(10):
+        g, h = (ci.Loop.monomial(_random_scalar(rng), int(rng.integers(-3, 4))) for _ in "gh")
+        base = int(rng.integers(-2, 3))
+        for tw in (None, _twist(200 + t)):
+            got = ci.cres_cochain_base(g, h, base, tw)
+            assert repr(got) == repr(_ref_cres_cochain_base(g, h, base, tw))
+            got = ci.base_change_cochain(g, base, tw)
+            assert repr(got) == repr(_ref_base_change_cochain(g, base, tw))
+        x, y = ci._mono(base, g.n, 1.5 - 0.5j), ci._mono(g.n, h.n, _random_scalar(rng))
+        ref_x, ref_y = _MonoMor(base, g.n, 1.5 - 0.5j), _MonoMor(g.n, h.n, y.coeff)
+        assert repr(ci._compose(ci._mor_op, x, y).coeff) == repr(_mono_compose(ref_x, ref_y).coeff)
+        got = ci._mono_act(h, ci._invert(ci._mor_op, x))
+        ref = _mono_act(h, _mono_invert(ref_x))
+        assert (got.u.n, got.v.n, repr(got.coeff)) == (ref.nu, ref.nv, repr(ref.coeff))
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_window_calculus_matches_the_per_mode_reference(n):
+    rng = np.random.default_rng(43 + n)
+    pairs = []
+    for _ in range(3):
+        mono = ci.Loop.monomial(_random_scalar(rng), int(rng.integers(-2, 3)))
+        pairs += [(mono, _random_laurent(rng)), (_random_laurent(rng), mono)]
+        pairs.append((_random_laurent(rng), _random_laurent(rng)))
+    for g, h in pairs:
+        assert repr(ci._cres_window(g, h, n)) == repr(_ref_cres_window(g, h, n))
+        ctx, ref_ctx = ci.WindowContext(n), ci.WindowContext(n)
+        x = ci._invert(ctx.toeplitz, ci._win_alpha(ctx, g, h, n))
+        ref = _win_invert(ref_ctx, _win_alpha(ref_ctx, g, h, n))
+        assert (x.u, x.v, x.dom_n, repr(x.coeff)) == (ref.u, ref.v, ref.dom_n, repr(ref.coeff))

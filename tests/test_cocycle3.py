@@ -98,14 +98,22 @@ def test_pair_homology_trivial_cycle(ctx):
     assert c3.pair_homology(cyc, ctx) == pytest.approx(1.0)
 
 
-def test_conjecture_probe(ctx):
+def test_triple_symbol(ctx):
+    def pairing(f, g, h):
+        return c3.pair_homology(c3.HomologyCycle3.alternating(f, g, h), ctx)
+
     # constants only: both sides are one
     lam = mono(1.7, 0, 0)
-    pairing, formula, ratio = c3.conjecture_probe(lam, lam, lam, ctx=ctx)
-    assert pairing == pytest.approx(1.0) and formula == pytest.approx(1.0)
-    # (z1, z2, lam): the corner factor contributes lam^2 on the formula side
-    pairing, formula, ratio = c3.conjecture_probe(Z1, Z2, mono(2.0, 0, 0), ctx=ctx)
-    assert pairing == pytest.approx(2.0)
-    assert formula == pytest.approx(4.0, rel=1e-6)
-    # report-only case runs without raising
-    c3.conjecture_probe(Z1, mono(2.0, 0, 0), Z2, ctx=ctx)
+    assert pairing(lam, lam, lam) == pytest.approx(1.0)
+    assert c3.triple_symbol(lam, lam, lam) == pytest.approx(1.0)
+    # (z1, z2, lam) pairs to lam
+    assert pairing(Z1, Z2, mono(2.0, 0, 0)) == pytest.approx(2.0)
+    assert c3.triple_symbol(Z1, Z2, mono(2.0, 0, 0)) == pytest.approx(2.0)
+    # with signed exponents the two agree in C^*/{+-1}, not always exactly
+    f, g, h = mono(2.0, -1, -1), mono(3.0, -1, 2), mono(5.0, 0, -1)
+    assert c3.triple_symbol(f, g, h) == pytest.approx(2 / 375)
+    assert pairing(f, g, h) == pytest.approx(-2 / 375)
+    rng = np.random.default_rng(31)
+    for _ in range(6):
+        f, g, h = (random_monomial(rng, 3, -3) for _ in range(3))
+        assert c3.class_equal(pairing(f, g, h), c3.triple_symbol(f, g, h))
