@@ -119,14 +119,7 @@ class BoxUnion:
         return BoxUnion.full(self.dim).subtract(self)
 
     def breakpoints(self, axis: int):
-        pts = set()
-        for b in self.boxes:
-            lo, hi = b.axes[axis]
-            if lo is not None:
-                pts.add(lo)
-            if hi is not None:
-                pts.add(hi)
-        return pts
+        return _breakpoints(self.boxes, axis)
 
     def canonical(self):
         """Canonical slab decomposition (axis 0 outermost)."""
@@ -164,8 +157,8 @@ class BoxUnion:
         return f"BoxUnion(dim={self.dim}, cells={self.canonical()!r})"
 
 
-def _axis_atoms(boxes, axis):
-    """Atomic intervals on one axis generated by the boxes' breakpoints."""
+def _breakpoints(boxes, axis):
+    """The finite bounds of the boxes on one axis."""
     pts = set()
     for b in boxes:
         lo, hi = b.axes[axis]
@@ -173,12 +166,14 @@ def _axis_atoms(boxes, axis):
             pts.add(lo)
         if hi is not None:
             pts.add(hi)
-    cuts = sorted(pts)
-    atoms = []
-    prev = None
-    for c in cuts:
-        if prev is None or prev < c:
-            atoms.append((prev, c))
+    return pts
+
+
+def _axis_atoms(boxes, axis):
+    """Atomic intervals on one axis generated by the boxes' breakpoints."""
+    atoms, prev = [], None
+    for c in sorted(_breakpoints(boxes, axis)):
+        atoms.append((prev, c))
         prev = c
     atoms.append((prev, None))
     return atoms

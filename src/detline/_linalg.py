@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 ZERO_TOL = 1e-10
+# Relative residual up to which a least-squares solution counts as exact:
+# looser than ZERO_TOL, as it carries lstsq roundoff that grows with cond.
+SOLVE_TOL = 1e-8
 
 
 def _tol(mat, rel=ZERO_TOL):
@@ -12,14 +15,14 @@ def _tol(mat, rel=ZERO_TOL):
     return rel * max(scale, 1.0)
 
 
-def rref(mat, rel=ZERO_TOL):
+def rref(mat):
     """Row-reduced echelon form with partial pivoting.
 
     Returns (R, pivot_cols).
     """
     a = np.array(mat, dtype=complex)
     m, n = a.shape
-    tol = _tol(a, rel)
+    tol = _tol(a)
     pivots = []
     row = 0
     for col in range(n):
@@ -38,7 +41,7 @@ def rref(mat, rel=ZERO_TOL):
     return a, pivots
 
 
-def nullspace(mat, rel=ZERO_TOL):
+def nullspace(mat):
     """Deterministic nullspace basis in free-column form.
 
     Each basis vector has entry 1 at its free column, ordered by free
@@ -49,7 +52,7 @@ def nullspace(mat, rel=ZERO_TOL):
         if a.shape[1] == 0:
             return []
         return [np.eye(a.shape[1], dtype=complex)[:, j] for j in range(a.shape[1])]
-    r, pivots = rref(a, rel)
+    r, pivots = rref(a)
     n = a.shape[1]
     free = [j for j in range(n) if j not in pivots]
     basis = []
@@ -62,35 +65,35 @@ def nullspace(mat, rel=ZERO_TOL):
     return basis
 
 
-def image_pivot_rows(mat, rel=ZERO_TOL):
+def image_pivot_rows(mat):
     """Row indices that carry the column space (via column elimination)."""
     a = np.asarray(mat, dtype=complex)
     if a.size == 0:
         return []
-    _, pivots = rref(a.T, rel)
+    _, pivots = rref(a.T)
     return sorted(pivots)
 
 
-def coker_free_rows(mat, rel=ZERO_TOL):
+def coker_free_rows(mat):
     """Row indices whose classes span the cokernel, ascending."""
     a = np.asarray(mat, dtype=complex)
     m = a.shape[0]
-    piv = set(image_pivot_rows(a, rel))
+    piv = set(image_pivot_rows(a))
     return [i for i in range(m) if i not in piv]
 
 
-def solve_exact(a, b, rel=1e-8):
+def solve_exact(a, b):
     """Least-squares solve that insists on a (near) exact solution."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape[1] == 0:
-        if np.max(np.abs(b), initial=0.0) > _tol(b, rel):
+        if np.max(np.abs(b), initial=0.0) > _tol(b, SOLVE_TOL):
             raise np.linalg.LinAlgError("inconsistent system")
         return np.zeros((0,) + b.shape[1:], dtype=complex)
     x, *_ = np.linalg.lstsq(a, b, rcond=None)
     resid = a @ x - b
     scale = max(np.max(np.abs(b), initial=0.0), np.max(np.abs(a), initial=0.0), 1.0)
-    if np.max(np.abs(resid), initial=0.0) > rel * scale:
+    if np.max(np.abs(resid), initial=0.0) > SOLVE_TOL * scale:
         raise np.linalg.LinAlgError("inconsistent system")
     return x
 

@@ -290,8 +290,9 @@ def _cres_window(g: Loop, h: Loop, n: int) -> complex:
     gh = g * h
     # chain 1 -> gh -> g -> 1 with matching windows
     a_gh = _win_alpha(ctx, one, gh, n)
-    # Known defect: taking g(alpha_h) as trivial in gauge keeps the winding shift
-    # but drops the Hankel term of T(g)T(h) - T(gh), so winding-zero pairs are wrong.
+    # Known defect: on winding-zero pairs every window is N x N and `_compose`
+    # multiplies finite sections, whose Widom far-corner term W_N H(a~)H(b) W_N
+    # mirrors the true one: the cochain is symmetric and the pairing reads 1.
     g_ah = _win_alpha(ctx, g, gh, n - winding_number(g))
     step1 = _compose(op, a_gh, _invert(op, g_ah))
     loop = _compose(op, step1, _invert(op, _win_alpha(ctx, one, g, n)))
@@ -300,7 +301,8 @@ def _cres_window(g: Loop, h: Loop, n: int) -> complex:
 
 
 def m_uni(g: Loop, h: Loop, n: int) -> complex:
-    """Fredholm-determinant cocycle for index-zero loops on a window."""
+    """Fredholm-determinant cocycle for index-zero loops on a window; its square
+    sections carry `_cres_window`'s far-corner defect unless g, h are analytic."""
     if winding_number(g) or winding_number(h):
         raise Uncertified("the determinant formula needs index-zero loops")
     ctx = WindowContext(n)

@@ -105,9 +105,9 @@ def torsion_chain(ops) -> tuple[LineMap, object]:
     return LineMap(scalar, deg_in, partial.presentation().degree), partial
 
 
-def quasi_map(phi, psi, T1, T2, check=True) -> LineMap:
+def quasi_map(phi, psi, T1, T2) -> LineMap:
     """Line map |T1| -> |T2| induced by a quasi-isomorphism (phi, psi)."""
-    if check and not T2.intertwines(T1, phi, psi):
+    if not T2.intertwines(T1, phi, psi):
         raise NotQuasiIso("psi T1 != T2 phi")
     p1, p2 = T1.presentation(), T2.presentation()
     if len(p1.ker) != len(p2.ker) or len(p1.coker) != len(p2.coker):
@@ -122,8 +122,6 @@ def quasi_map(phi, psi, T1, T2, check=True) -> LineMap:
 
 def stabilization(T, T_big, dom_positions=None, cod_positions=None) -> LineMap:
     """Stabilisation |T| -> |T + Gamma| via the slotwise inclusions."""
-    if not isinstance(T, FiberedLatticeOp):
-        raise ShapeMismatch("stabilisation is defined for fibered operators")
     if dom_positions is None:
         dom_positions = list(range(len(T.dom)))
     if cod_positions is None:

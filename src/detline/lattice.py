@@ -19,7 +19,7 @@ from math import prod
 import numpy as np
 
 from . import _linalg
-from ._intervals import Box, BoxUnion, _cell_rep, _cells, _hull, full_box
+from ._intervals import Box, BoxUnion, _breakpoints, _cell_rep, _cells, _hull
 from .errors import (
     NotDeterminantClass,
     NotFiniteRank,
@@ -131,30 +131,49 @@ def _canonical_cells(pairs, support: BoxUnion):
     return tuple(out)
 
 
-def _grid_cells(cuts, bounded):
-    """(index, box, point in it) of each bounded, or else unbounded, grid cell.
+def _walk(ops, bounded):
+    """(box, point in it, fibers) of each bounded, or else unbounded, joint cell.
 
-    `cuts` holds the sorted breakpoints of each axis; cell i of an axis
-    spans [cuts[i-1], cuts[i]), unbounded below for i = 0 and above for
-    i = len(cuts).  The index is the tuple of these per-axis i.
+    The joint grid cuts each axis at all `ops`' breakpoints; cell i of an
+    axis spans [cuts[i-1], cuts[i]), unbounded below for i = 0 and above
+    for i = len(cuts).  An operator's own cuts are a subset, so joint cell
+    i lies in its own cell bisect_right(own, cuts[i-1]) (0 for i = 0).  That
+    map is tabled once per axis; `fibers` holds each op's fiber by cell index.
     """
-    ranges = [range(1, len(c)) if bounded else range(len(c) + 1) for c in cuts]
-    for idx in itertools.product(*ranges):
-        if bounded or not all(0 < i < len(c) for c, i in zip(cuts, idx)):
-            box = Box(tuple(
-                (c[i - 1] if i else None, c[i] if i < len(c) else None)
-                for c, i in zip(cuts, idx)
-            ))
-            yield idx, box, _cell_rep(box)
+    cuts = [sorted(set().union(*axes)) for axes in zip(*(op._grid() for op in ops))]
+    spans = [range(1, len(c)) if bounded else range(len(c) + 1) for c in cuts]
+    if not bounded:  # keep the cells that are unbounded on some axis
+        inner = [[0 < i < len(c) for i in s] for c, s in zip(cuts, spans)]
+        keep = [not all(f) for f in itertools.product(*inner)]
 
+    def cells(tables):  # one item per walked cell, from one table per axis
+        items = itertools.product(*tables)
+        return items if bounded else itertools.compress(items, keep)
 
-def _joint_cuts(*ops):
-    """Sorted breakpoints per axis of the grid that refines each operator's."""
-    return tuple(sorted(set().union(*axes)) for axes in zip(*(op._grid() for op in ops)))
+    bounds = cells(
+        [(c[i - 1] if i else None, c[i] if i < len(c) else None) for i in s]
+        for c, s in zip(cuts, spans)
+    )
+    per_op = [
+        map(op._cell_fiber, cells(
+            [bisect_right(g, c[i - 1]) if i else 0 for i in s]
+            for g, c, s in zip(op._grid(), cuts, spans)
+        ))
+        for op in ops
+    ]
+    for axes, fibers in zip(bounds, zip(*per_op)):
+        box = Box(axes)
+        yield box, _cell_rep(box), fibers
 
 
 def _fibers_agree(a, b) -> bool:
-    return not a.size or np.max(np.abs(a - b)) <= COEFF_TOL
+    """Equal shapes, and entries within FIBER_EQ_TOL times max(1, largest |a|)."""
+    if a.shape != b.shape:
+        return False
+    if not a.size:
+        return True
+    dist = np.abs(a - b).max()
+    return dist <= FIBER_EQ_TOL or dist <= FIBER_EQ_TOL * np.abs(a).max()
 
 
 def _solve_once(solved, a, b):
@@ -212,10 +231,6 @@ class FiberedLatticeOp:
         return cls(space, space, entries)
 
     @classmethod
-    def zero(cls, dom: SlotSpace, cod: SlotSpace) -> "FiberedLatticeOp":
-        return cls(dom, cod, {})
-
-    @classmethod
     def inclusion(cls, sub: SlotSpace, sup: SlotSpace, positions) -> "FiberedLatticeOp":
         """Slotwise inclusion mapping sub slot j to sup slot positions[j]."""
         entries = {}
@@ -229,15 +244,12 @@ class FiberedLatticeOp:
     # -- elementary algebra ---------------------------------------------------
 
     def fiber(self, pt):
-        """Fiber matrix at pt with its active slot index lists.
-
-        The fiber is constant on each cell of the grid cut at the sorted
-        breakpoints; the fibers of all cells are built on first use.
-        """
+        """Fiber matrix at pt with its active slot index lists; pt's grid cell
+        is found by bisecting each axis, where `_walk` reads fibers by index."""
         return self._cell_fiber(tuple(bisect_right(c, x) for c, x in zip(self._grid(), pt)))
 
     def _cell_fiber(self, idx):
-        """Fiber of the grid cell with per-axis index idx, as `_grid_cells` gives it."""
+        """Fiber of the own grid cell idx, indexed as in `_walk`; all built on first use."""
         if self._fibers is None:
             self._fibers = self._cell_fibers()
         return self._fibers[idx]
@@ -324,11 +336,10 @@ class FiberedLatticeOp:
         pairs = ((psi.dom, T1.cod), (self.dom, phi.cod), (T1.dom, phi.dom), (psi.cod, self.cod))
         if not all(a.compatible(b) for a, b in pairs):
             raise ShapeMismatch("intertwines: slot spaces differ")
-        cuts = _joint_cuts(self, T1, phi, psi)
         return all(
-            _fibers_agree(psi.fiber(pt)[0] @ T1.fiber(pt)[0], self.fiber(pt)[0] @ phi.fiber(pt)[0])
+            _fibers_agree(p[0] @ t1[0], t2[0] @ f[0])
             for bounded in (True, False)
-            for _, _, pt in _grid_cells(cuts, bounded)
+            for _, _, (t2, t1, f, p) in _walk((self, T1, phi, psi), bounded)
         )
 
     def finite_difference(self, other: "FiberedLatticeOp") -> bool:
@@ -336,30 +347,14 @@ class FiberedLatticeOp:
         if not (self.dom.compatible(other.dom) and self.cod.compatible(other.cod)):
             raise ShapeMismatch("finite_difference: slot spaces differ")
         return all(
-            _fibers_agree(self.fiber(pt)[0], other.fiber(pt)[0])
-            for _, _, pt in _grid_cells(_joint_cuts(self, other), bounded=False)
+            _fibers_agree(a[0], b[0]) for _, _, (a, b) in _walk((self, other), bounded=False)
         )
 
-    # -- grid cells and probe geometry ----------------------------------------
+    # -- grid cells -----------------------------------------------------------
 
     def breakpoints(self, axis):
-        pts = set()
-        pts |= self.dom.breakpoints(axis)
-        pts |= self.cod.breakpoints(axis)
-        for pairs in self.entries.values():
-            for _, b in pairs:
-                lo, hi = b.axes[axis]
-                if lo is not None:
-                    pts.add(lo)
-                if hi is not None:
-                    pts.add(hi)
-        return pts
-
-    def probe_box(self, margin=2) -> Box:
-        return Box(tuple((c[0] - margin, c[-1] + margin) if c else (0, 1) for c in self._grid()))
-
-    def probe_points(self):
-        return list(self.probe_box().points())
+        boxes = [b for pairs in self.entries.values() for _, b in pairs]
+        return self.dom.breakpoints(axis) | self.cod.breakpoints(axis) | _breakpoints(boxes, axis)
 
     def _grid(self):
         """Sorted breakpoints per axis: the cuts of the operator's grid cells."""
@@ -370,8 +365,7 @@ class FiberedLatticeOp:
     def certify_fredholm(self):
         """Check that the fiber of every unbounded grid cell is bijective."""
         if self._cert is None:
-            for idx, _, pt in _grid_cells(self._grid(), bounded=False):
-                mat, dom_a, cod_a = self._cell_fiber(idx)
+            for _, pt, [(mat, dom_a, cod_a)] in _walk([self], bounded=False):
                 if len(dom_a) != len(cod_a):
                     raise NotFredholm(f"non-square asymptotic fiber at {pt}")
                 if dom_a and abs(_linalg.det(mat)) <= SINGULAR_DET_TOL:
@@ -390,8 +384,7 @@ class FiberedLatticeOp:
         if self._pres is None:
             self.certify_fredholm()
             found, solved = [], {}
-            for idx, box, _ in _grid_cells(self._grid(), bounded=True):
-                mat, dom_a, cod_a = self._cell_fiber(idx)
+            for box, _, [(mat, dom_a, cod_a)] in _walk([self], bounded=True):
                 if not dom_a and not cod_a:
                     continue
                 key = (mat.shape, mat.tobytes())
@@ -496,9 +489,6 @@ class FiberedLatticeOp:
         """Sort key of a (point, slot) label; its first part names the fiber."""
         return label_key(label)
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def pert_labels(self, other: "FiberedLatticeOp", images):
         """Domain and codomain labels of the exceptional fibers of a pair.
 
@@ -512,15 +502,9 @@ class FiberedLatticeOp:
         """
         p1, p2 = self.presentation(), other.presentation()
         exceptional = set()
-        for _, box, pt in _grid_cells(_joint_cuts(self, other), bounded=True):
-            m1, d1, c1 = self.fiber(pt)
-            m2 = other.fiber(pt)[0]
+        for box, _, ((m1, d1, c1), (m2, _, _)) in _walk((self, other), bounded=True):
             if (
-                m1.shape != m2.shape
-                or (
-                    m1.size
-                    and np.max(np.abs(m1 - m2)) > FIBER_EQ_TOL * max(1.0, np.max(np.abs(m1)))
-                )
+                not _fibers_agree(m1, m2)
                 or len(d1) != len(c1)
                 or (d1 and abs(_linalg.det(m1)) < SINGULAR_DET_TOL)
             ):
@@ -553,8 +537,7 @@ class FiberedLatticeOp:
         Returns (padded self, padded other, aux domain labels, aux codomain
         labels).
         """
-        probe1, probe2 = self.probe_box(margin=4), other.probe_box(margin=4)
-        base = max(max(hi for _, hi in probe1.axes), max(hi for _, hi in probe2.axes))
+        base = max(c[-1] + 4 if c else 1 for op in (self, other) for c in op._grid())
         aux_pts = [tuple(base + 2 * k for _ in range(self.dim)) for k in range(max(n_dom, n_cod))]
         aux = [BoxUnion(self.dim, [Box(tuple((x, x + 1) for x in pt))]) for pt in aux_pts]
         out = []
@@ -580,15 +563,13 @@ class FiberedLatticeOp:
         """Product over bounded grid cells of det(fiber)^|cell|."""
         if not self.dom.compatible(self.cod):
             raise NotDeterminantClass("domain and codomain differ")
-        for idx, _, pt in _grid_cells(self._grid(), bounded=False):
-            mat, dom_a, cod_a = self._cell_fiber(idx)
+        for _, pt, [(mat, dom_a, cod_a)] in _walk([self], bounded=False):
             if dom_a != cod_a or (
                 mat.size and np.max(np.abs(mat - np.eye(len(dom_a)))) > IDENTITY_TOL
             ):
                 raise NotDeterminantClass(f"asymptotic fiber at {pt} is not identity")
         val = 1.0 + 0.0j
-        for idx, box, pt in _grid_cells(self._grid(), bounded=True):
-            mat, dom_a, cod_a = self._cell_fiber(idx)
+        for box, pt, [(mat, dom_a, cod_a)] in _walk([self], bounded=True):
             if len(dom_a) != len(cod_a):
                 raise NotDeterminantClass(f"non-square fiber at {pt}")
             if dom_a:
@@ -600,32 +581,22 @@ class FiberedLatticeOp:
         if not self.is_finite_box():
             raise NotFiniteRank("entries not supported on finite boxes")
         total = 0.0
-        for idx, box, _ in _grid_cells(self._grid(), bounded=True):
-            mat = self._cell_fiber(idx)[0]
+        for box, _, [(mat, _, _)] in _walk([self], bounded=True):
             if mat.size:
                 total += _box_size(box) * float(np.sum(np.linalg.svd(mat, compute_uv=False)))
         return total
 
     def inverse(self) -> "FiberedLatticeOp":
         """Exact inverse of a fiberwise-invertible operator."""
-        boxes = []
-        for pairs in self.entries.values():
-            boxes.extend(b for _, b in pairs)
-        for sp in (self.dom, self.cod):
-            for s in sp.slots:
-                boxes.extend(s.support.canonical_boxes())
-        if not boxes:
-            boxes = [full_box(self.dim)]
         entries = {}
-        for cell in _cells(boxes, full_box(self.dim)):
-            rep = _cell_rep(cell)
-            mat, dom_a, cod_a = self.fiber(rep)
+        walk = itertools.chain(_walk([self], bounded=True), _walk([self], bounded=False))
+        for cell, pt, [(mat, dom_a, cod_a)] in walk:
             if len(dom_a) != len(cod_a):
-                raise NotInvertible(f"non-square fiber at {rep}")
+                raise NotInvertible(f"non-square fiber at {pt}")
             if not dom_a:
                 continue
             if abs(_linalg.det(mat)) <= INVERTIBLE_DET_TOL:
-                raise NotInvertible(f"singular fiber at {rep}")
+                raise NotInvertible(f"singular fiber at {pt}")
             inv = np.linalg.inv(mat)
             for r, j in enumerate(dom_a):
                 for cix, i in enumerate(cod_a):

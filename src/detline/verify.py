@@ -76,15 +76,7 @@ def random_triangle(rng, max_dim=5) -> ExactTriangle:
     q_m = std(dims["W-"], dims["V-"], r[4], 0, dims["V-"] - r[4])
     d_m = std(dims["U+"], dims["W-"], r[5], 0, dims["W-"] - r[5])
 
-    def randinv(n):
-        while True:
-            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            if n == 0:
-                return m
-            if np.linalg.cond(m) < 50:
-                return m
-
-    g = {k: randinv(v) for k, v in dims.items()}
+    g = {k: _well_conditioned(rng, v) for k, v in dims.items()}
 
     def conj(mat, target, source):
         return g[target] @ mat @ np.linalg.inv(g[source])

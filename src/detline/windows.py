@@ -44,13 +44,12 @@ def _sparse(vec, labels):
 class DenseOp:
     """Dense matrix between labelled windowed coordinate spaces."""
 
-    def __init__(self, dom_labels, cod_labels, matrix, tol=SVD_TOL):
+    def __init__(self, dom_labels, cod_labels, matrix):
         self.dom_labels = list(dom_labels)
         self.cod_labels = list(cod_labels)
         self.matrix = np.asarray(matrix, dtype=complex)
         if self.matrix.shape != (len(self.cod_labels), len(self.dom_labels)):
             raise ShapeMismatch("matrix shape does not match label counts")
-        self.tol = tol
         self._pres = None
         self._svd = None
         self._ker_frame = None
@@ -61,22 +60,22 @@ class DenseOp:
     def compose(self, other: "DenseOp") -> "DenseOp":
         if other.cod_labels != self.dom_labels:
             raise ShapeMismatch("compose: inner windows differ")
-        return DenseOp(other.dom_labels, self.cod_labels, self.matrix @ other.matrix, self.tol)
+        return DenseOp(other.dom_labels, self.cod_labels, self.matrix @ other.matrix)
 
     def add(self, other: "DenseOp") -> "DenseOp":
         if other.cod_labels != self.cod_labels or other.dom_labels != self.dom_labels:
             raise ShapeMismatch("add: windows differ")
-        return DenseOp(self.dom_labels, self.cod_labels, self.matrix + other.matrix, self.tol)
+        return DenseOp(self.dom_labels, self.cod_labels, self.matrix + other.matrix)
 
     def sub(self, other: "DenseOp") -> "DenseOp":
         return self.add(other.scale(-1.0))
 
     def scale(self, c) -> "DenseOp":
-        return DenseOp(self.dom_labels, self.cod_labels, c * self.matrix, self.tol)
+        return DenseOp(self.dom_labels, self.cod_labels, c * self.matrix)
 
     @classmethod
-    def identity(cls, labels, tol=SVD_TOL) -> "DenseOp":
-        return cls(labels, labels, np.eye(len(labels), dtype=complex), tol)
+    def identity(cls, labels) -> "DenseOp":
+        return cls(labels, labels, np.eye(len(labels), dtype=complex))
 
     # -- kernel / cokernel ----------------------------------------------------
 
@@ -95,7 +94,7 @@ class DenseOp:
         if self._pres is None:
             u, s, vh = self._decompose()
             smax = s[0] if s.size else 0.0
-            cut = self.tol * max(smax, 1e-300)
+            cut = SVD_TOL * max(smax, 1e-300)
             rank = int(np.sum(s > cut))
             self._ker_frame, _ = _echelon(np.conj(vh[rank:]).T)
             w = u[:, rank:]
@@ -179,7 +178,7 @@ class DenseOp:
         for T in (self, other):
             mat = np.zeros((len(T.cod_labels) + n_cod, len(T.dom_labels) + n_dom), dtype=complex)
             mat[: len(T.cod_labels), : len(T.dom_labels)] = T.matrix
-            out.append(DenseOp(T.dom_labels + aux_dom, T.cod_labels + aux_cod, mat, T.tol))
+            out.append(DenseOp(T.dom_labels + aux_dom, T.cod_labels + aux_cod, mat))
         return out[0], out[1], aux_dom, aux_cod
 
     def __repr__(self):

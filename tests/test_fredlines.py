@@ -21,6 +21,11 @@ from detline.verify import (
 from detline.windows import DenseOp
 
 
+def _probe_points(op):
+    """Lattice points up to two past the operator's outermost breakpoints."""
+    return list(Box(tuple((c[0] - 2, c[-1] + 2) if c else (0, 1) for c in op._grid())).points())
+
+
 def half(n):
     return BoxUnion(1, [Box(((n, None),))])
 
@@ -153,7 +158,7 @@ def test_dense_backend_matches_fibered_perturbation():
     t2 = base.add(random_finite_box(rng, base))
     want = fredlines.perturbation(t1, t2).scalar
 
-    pts = [pt for pt in t1.probe_points() if t1.dom.active(pt)]
+    pts = [pt for pt in _probe_points(t1) if t1.dom.active(pt)]
     labels = [(pt, 0) for pt in pts]
 
     def dense(op):
@@ -235,7 +240,7 @@ def test_percom_dense_backend():
 
 
 def _ref_intertwines(T2, T1, phi, psi):
-    return psi.compose(T1).sub(T2.compose(phi)).is_zero()
+    return not psi.compose(T1).sub(T2.compose(phi)).entries
 
 
 SEG = BoxUnion(1, [Box(((-5, -3),))])

@@ -8,10 +8,19 @@ import pytest
 from detline import _linalg, lattice
 from detline._intervals import Box, BoxUnion, _axis_atoms, _cell_rep
 from detline.errors import NotDeterminantClass, NotFiniteRank, ShapeMismatch
-from detline.lattice import COEFF_TOL, FiberedLatticeOp, SlotSpace, pt_key
+from detline.lattice import COEFF_TOL, FiberedLatticeOp, SlotSpace, _fibers_agree, _walk, pt_key
 from detline.torus import quadrant
 from detline.windows import DenseOp, window_det
 from detline import circle as ci
+
+
+def _probe_box(op, margin=2):
+    """Box reaching `margin` past the operator's outermost breakpoints."""
+    return Box(tuple((c[0] - margin, c[-1] + margin) if c else (0, 1) for c in op._grid()))
+
+
+def _probe_points(op):
+    return list(_probe_box(op).points())
 
 
 def proj(region):
@@ -67,7 +76,7 @@ def test_rank_one_det_and_trace_norm():
     assert op.fredholm_det() == pytest.approx(1 + delta)
     rank1 = FiberedLatticeOp(sp, sp, {(0, 0): [(delta, Box(((2, 3),)))]})
     assert rank1.trace_norm() == pytest.approx(abs(delta))
-    zero = FiberedLatticeOp.zero(sp, sp)
+    zero = FiberedLatticeOp(sp, sp, {})
     assert zero.trace_norm() == 0.0
 
 
@@ -109,7 +118,7 @@ def test_fredholm_det_dense_window_oracle():
     for _ in range(5):
         op = _random_detclass(rng)
         val = op.fredholm_det()
-        pts = op.probe_points()
+        pts = _probe_points(op)
         labels = [(pt, s) for pt in pts for s in op.dom.active(pt)]
         pos = {l: i for i, l in enumerate(labels)}
         mat = np.eye(len(labels), dtype=complex)
@@ -128,7 +137,7 @@ def test_fiber_locality_and_index_additivity():
     a = random_fibered_op(rng, 0, 1)
     b = random_fibered_op(rng, 1, -1)
     ba = b.compose(a)
-    for pt in ba.probe_points():
+    for pt in _probe_points(ba):
         m_ba, _, _ = ba.fiber(pt)
         m_b, _, _ = b.fiber(pt)
         m_a, _, _ = a.fiber(pt)
@@ -274,7 +283,7 @@ def test_not_fredholm_asymptotics():
     from detline.errors import NotFredholm
 
     sp = SlotSpace([("h", BoxUnion(1, [Box(((0, None),))]))])
-    zero = FiberedLatticeOp.zero(sp, sp)
+    zero = FiberedLatticeOp(sp, sp, {})
     with pytest.raises(NotFredholm):
         zero.kernel_cokernel()
 
@@ -322,7 +331,7 @@ def _ref_fiber(op, pt):
 
 def _ref_presentation(op):
     ker, coker = [], []
-    for pt in op.probe_points():
+    for pt in _probe_points(op):
         mat, dom_a, cod_a = _ref_fiber(op, pt)
         if not dom_a and not cod_a:
             continue
@@ -335,7 +344,7 @@ def _ref_presentation(op):
 
 def _ref_fredholm_det(op):
     val = 1.0 + 0.0j
-    for pt in op.probe_points():
+    for pt in _probe_points(op):
         mat, dom_a, _ = _ref_fiber(op, pt)
         if dom_a:
             val *= _linalg.det(mat)
@@ -344,7 +353,7 @@ def _ref_fredholm_det(op):
 
 def _ref_trace_norm(op):
     total = 0.0
-    for pt in op.probe_points():
+    for pt in _probe_points(op):
         mat = _ref_fiber(op, pt)[0]
         if mat.size:
             total += float(np.sum(np.linalg.svd(mat, compute_uv=False)))
@@ -353,7 +362,7 @@ def _ref_trace_norm(op):
 
 def _ref_pert_labels(t1, t2, images):
     p1, p2 = t1.presentation(), t2.presentation()
-    axes = zip(t1.probe_box().axes, t2.probe_box().axes)
+    axes = zip(_probe_box(t1).axes, _probe_box(t2).axes)
     pts = list(Box(tuple((min(a[0], b[0]), max(a[1], b[1])) for a, b in axes)).points())
     exceptional = set()
     for pt in pts:
@@ -435,7 +444,7 @@ def _fibered_cases():
 def test_fiber_is_the_per_point_fiber():
     _, ops = _fibered_cases()
     for op in ops:
-        for pt in op.probe_box(margin=5).points():
+        for pt in _probe_box(op, margin=5).points():
             mat, dom_a, cod_a = op.fiber(pt)
             ref, rdom, rcod = _ref_fiber(op, pt)
             assert (dom_a, cod_a) == (rdom, rcod) and np.array_equal(mat, ref)
@@ -454,7 +463,7 @@ def test_cell_pert_labels_match_per_point_reference():
     rng, ops = _fibered_cases()
     for op in ops:
         other = _finite_perturbation(rng, op)
-        probe = op.probe_box(margin=3)
+        probe = _probe_box(op, margin=3)
         stray = {(tuple(hi - 1 for _, hi in probe.axes), 0): 1.0}
         images = [dict(r) for r in other.presentation().coker] + [stray]
         assert op.pert_labels(other, images) == _ref_pert_labels(op, other, images)
@@ -473,7 +482,7 @@ def test_cell_det_and_trace_norm_match_per_point_reference():
         if op.dom.compatible(op.cod):
             ident = FiberedLatticeOp.identity(op.dom)
             dets.append(_finite_perturbation(rng, ident, count=4, width=3))
-            if op.compose(op).sub(ident).is_zero():
+            if not op.compose(op).sub(ident).entries:
                 dets.append(op.compose(dets[-1]).compose(op))  # Omega X Omega
     assert len(dets) >= 12
     for op in dets:
@@ -502,7 +511,7 @@ def test_presentation_eliminates_once_per_grid_cell(monkeypatch):
     pres = op.presentation()
     cells = np.prod([len(op.breakpoints(ax)) + 1 for ax in range(op.dim)])
     assert pres.ker or pres.coker
-    assert 0 < len(calls) <= cells < len(op.probe_points())
+    assert 0 < len(calls) <= cells < len(_probe_points(op))
 
 
 # -- one solve per distinct system against the per-vector reference ----------
@@ -562,7 +571,7 @@ def _probe_vectors(rng, op, count):
     """Codomain vectors with repeats: cokernel representatives, images of
     domain unit vectors, and random combinations of them."""
     pres = op.presentation()
-    units = [{(pt, j): 1.0} for pt in op.probe_points() for j in op.dom.active(pt)]
+    units = [{(pt, j): 1.0} for pt in _probe_points(op) for j in op.dom.active(pt)]
     base = [dict(r) for r in pres.coker] + [op.apply(u) for u in units[:: max(1, len(units) // 12)]]
     base = [b for b in base if b]
     out = list(base)
@@ -781,3 +790,77 @@ def test_inclusion_refuses_an_l_shaped_source_poking_out():
     wide = BoxUnion(2, [Box(((None, None), (0, None)))])
     op = FiberedLatticeOp.inclusion(SlotSpace([("a", ell)]), SlotSpace([("a", wide)]), [0])
     assert op.entries[(0, 0)] and all(v == 1.0 for v, _ in op.entries[(0, 0)])
+
+
+# -- the joint cell walk against per-point lookups ----------------------------
+
+
+def _far_corner(box):
+    """A second point of the box: its top corner, or 5 steps into an unbounded side."""
+
+    def far(lo, hi):
+        if hi is None:
+            return 7 if lo is None else lo + 5
+        return hi - 1 if lo is not None else hi - 5
+
+    return tuple(far(lo, hi) for lo, hi in box.axes)
+
+
+def test_walk_reads_each_fiber_by_cell_index():
+    rng = np.random.default_rng(31)
+    by_dim = {}
+    for op in _construction_cases():
+        by_dim.setdefault(op.dim, []).append(op)
+    for dim, ops in by_dim.items():
+        full = SlotSpace([("h", BoxUnion.full(dim))])
+        no_cuts = FiberedLatticeOp.identity(full)
+        far = FiberedLatticeOp(full, full, {(0, 0): [(2.0, Box(((20, 23),) * dim))]})
+        tuples = [(no_cuts,), (no_cuts, far), (far, ops[0]), (ops[0], no_cuts, far)]
+        tuples += [
+            tuple(ops[k] for k in rng.choice(len(ops), size=int(rng.integers(1, 5))))
+            for _ in range(10)
+        ]
+        for group in tuples:
+            cuts = [sorted(set().union(*axes)) for axes in zip(*(op._grid() for op in group))]
+            counts, volume = {}, 0
+            for bounded in (True, False):
+                counts[bounded] = 0
+                for box, pt, fibers in _walk(group, bounded):
+                    counts[bounded] += 1
+                    assert box.contains(pt) and box.is_finite() == bounded
+                    if bounded:
+                        volume += len(list(box.points()))
+                    for op, (mat, dom_a, cod_a) in zip(group, fibers):
+                        for q in (pt, _far_corner(box)):
+                            ref, rdom, rcod = op.fiber(q)
+                            assert (dom_a, cod_a) == (rdom, rcod) and np.array_equal(mat, ref)
+            assert counts[True] == np.prod([max(len(c) - 1, 0) for c in cuts])
+            assert counts[True] + counts[False] == np.prod([len(c) + 1 for c in cuts])
+            assert volume == np.prod([c[-1] - c[0] if c else 0 for c in cuts])
+
+
+def test_cell_walks_make_no_point_lookups(monkeypatch):
+    rng, ops = _fibered_cases()
+    others = [_finite_perturbation(rng, op) for op in ops]
+    det = _random_detclass(rng)
+    calls = []
+    real = FiberedLatticeOp.fiber
+    monkeypatch.setattr(FiberedLatticeOp, "fiber", lambda op, pt: calls.append(pt) or real(op, pt))
+    for op, other in zip(ops, others):
+        ident_dom, ident_cod = FiberedLatticeOp.identity(op.dom), FiberedLatticeOp.identity(op.cod)
+        assert op.intertwines(op, ident_dom, ident_cod)
+        assert op.finite_difference(other)
+        op.pert_labels(other, [])
+    assert not det.compose(det.inverse()).sub(FiberedLatticeOp.identity(det.dom)).entries
+    assert not calls
+    det.apply({((0, 0), 0): 1.0})
+    assert calls == [(0, 0)]
+
+
+def test_fibers_agree_needs_equal_shapes_and_is_relative():
+    assert not _fibers_agree(np.zeros((1, 2)), np.zeros((2, 1)))
+    assert not _fibers_agree(np.zeros((0, 1)), np.zeros((1, 0)))
+    assert _fibers_agree(np.zeros((0, 1)), np.zeros((0, 1)))
+    big = np.full((2, 2), 1e6)
+    assert _fibers_agree(big, big + 1e-7) and not _fibers_agree(big, big + 1e-5)
+    assert not _fibers_agree(np.eye(2), np.eye(2) + 1e-11)
