@@ -82,10 +82,6 @@ class BoxUnion:
         self._canon = None
 
     @classmethod
-    def empty(cls, dim: int) -> "BoxUnion":
-        return cls(dim, ())
-
-    @classmethod
     def full(cls, dim: int) -> "BoxUnion":
         return cls(dim, (full_box(dim),))
 

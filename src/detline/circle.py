@@ -161,7 +161,7 @@ def _compose(op, x: _Mor, y: _Mor) -> _Mor:
     comp = S.compose(T)
     tors = fredlines.torsion(T, S, comp)
     pert = fredlines.perturbation(comp, op(x.u, y.v, x.dom_n))
-    return _Mor(x.u, y.v, x.dom_n, x.coeff * y.coeff * tors.scalar * pert.scalar)
+    return _Mor(x.u, y.v, x.dom_n, x.coeff * y.coeff * tors * pert)
 
 
 def _invert(op, x: _Mor) -> _Mor:
@@ -278,8 +278,7 @@ def _win_alpha(ctx: WindowContext, u: Loop, v: Loop, dom_n: int) -> _Mor:
     if winding_number(u) == winding_number(v):
         sym = ctx.toeplitz(v, u, dom_n)  # compression of u^{-1} v
         inv = DenseOp(op.dom_labels, op.cod_labels, np.linalg.inv(ctx.completed(sym)))
-        pert = fredlines.perturbation(inv, op)
-        return _Mor(u, v, dom_n, pert.scalar)
+        return _Mor(u, v, dom_n, fredlines.perturbation(inv, op))
     return _Mor(u, v, dom_n, 1.0 + 0.0j)
 
 

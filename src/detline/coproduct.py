@@ -68,23 +68,23 @@ class Context:
     def line_deg(self, lam, mu, p, q) -> int:
         return self.F(lam, mu, p, q).presentation().degree
 
-    def _extend_full(self, T, lams):
-        """T plus the identity on the slotwise complements of pi(1)."""
-        slots, extra = [], {}
-        for k, lam in enumerate(lams):
-            full = sigma_region(lam, RingIdempotent.unit())
-            slots.append((f"s{k}", full))
-            comp_d = full.subtract(T.dom.slots[k].support)
-            comp_c = full.subtract(T.cod.slots[k].support)
-            if comp_d != comp_c:
+    def _extend(self, T, lams, pairs):
+        """T plus, for each (i, j) in pairs, the identity from the complement
+        of dom slot j in pi_{lam_j}(1) to that of cod slot i in pi_{lam_i}(1)."""
+        dom = [(s.name, s.support) for s in T.dom.slots]
+        cod = [(s.name, s.support) for s in T.cod.slots]
+        entries = {key: list(cells) for key, cells in T.entries.items()}
+        unit = RingIdempotent.unit()
+        for i, j in pairs:
+            full_c = sigma_region(lams[i], unit)
+            full_d = full_c if lams[j] == lams[i] else sigma_region(lams[j], unit)
+            comp = full_d.subtract(dom[j][1])
+            if comp != full_c.subtract(cod[i][1]):
                 raise IdealViolation("complement mismatch in stabilisation")
-            if not comp_d.is_empty():
-                extra[(k, k)] = [(1.0, b) for b in comp_d.canonical_boxes()]
-        entries = {key: list(pairs) for key, pairs in T.entries.items()}
-        for key, pairs in extra.items():
-            entries[key] = entries.get(key, []) + pairs
-        space = SlotSpace(slots)
-        return FiberedLatticeOp(space, space, entries)
+            dom[j], cod[i] = (dom[j][0], full_d), (cod[i][0], full_c)
+            extra = [(1.0, b) for b in comp.canonical_boxes()]
+            entries[(i, j)] = entries.get((i, j), []) + extra
+        return FiberedLatticeOp(SlotSpace(dom), SlotSpace(cod), entries)
 
     # -- duality ---------------------------------------------------------------
 
@@ -99,7 +99,7 @@ class Context:
             ident = FiberedLatticeOp.identity(Fd.dom)
             pert = fredlines.perturbation(ident, comp)
             tors = fredlines.torsion(Fd, Fe, comp)
-            return pert.scalar / tors.scalar
+            return pert / tors
 
         return self._get(key, build)
 
@@ -114,19 +114,38 @@ class Context:
             ident = FiberedLatticeOp.identity(Fe.dom)
             tors = fredlines.torsion(Fe, Fd, comp)
             pert = fredlines.perturbation(comp, ident)
-            return tors.scalar * pert.scalar
+            return tors * pert
 
         return self._get(key, build)
 
     # -- trivialisations of chains of F blocks ---------------------------------
 
+    def _chain(self, lams, ps, schedule):
+        """Stabilised F steps of a transposition schedule, and their composite.
+
+        Slot k starts with the idempotent ps[k]; the idempotents of slots i
+        and j swap after each transposition (i, j).  Step k is
+        big_F(lams, (i, j), ps), stabilised from F(lam_i, lam_j)(p_i, p_j).
+        Returns the factors (one stabilisation per step, then the torsion
+        of the chain) and the chain's composite.
+        """
+        ps = list(ps)
+        factors, steps = [], []
+        for i, j in schedule:
+            step = big_F(list(lams), (i, j), tuple(ps))
+            small = self.F(lams[i], lams[j], ps[i], ps[j])
+            factors.append(fredlines.stabilization(small, step, (i, j), (i, j)))
+            steps.append(step)
+            ps[i], ps[j] = ps[j], ps[i]
+        chain, comp = fredlines.torsion_chain(steps)
+        factors.append(chain)
+        return factors, comp
+
     def triv(self, lams, e, schedule) -> complex:
         """Scalar trivialising |F^(n)| (x) ... (x) |F^(1)| against the Omega chain.
 
-        The idempotent e starts in slot schedule[0][0], every other slot
-        holds p0, and e moves across each transposition (i, j) of the
-        schedule.  Step k is big_F(lams, (i, j), ps), stabilised from
-        F(lam_i, lam_j)(p_i, p_j); the chain's composite, extended by the
+        The idempotent e starts in slot schedule[0][0] and every other slot
+        holds p0 (see `_chain`).  The chain's composite, extended by the
         identity to the full slots, is compared by perturbation with the
         Omega chain of the reversed schedule at the base point.
         """
@@ -139,24 +158,16 @@ class Context:
         )
 
         def build():
-            p0 = self.p0
-            ps = [p0] * len(lams)
+            p0s = tuple(self.p0 for _ in lams)
+            ps = list(p0s)
             ps[schedule[0][0]] = e
-            factors, steps = [], []
-            for i, j in schedule:
-                step = big_F(list(lams), (i, j), tuple(ps))
-                small = self.F(lams[i], lams[j], ps[i], ps[j])
-                factors.append(fredlines.stabilization(small, step, (i, j), (i, j)).scalar)
-                steps.append(step)
-                ps[i], ps[j] = ps[j], ps[i]
-            chain, comp = fredlines.torsion_chain(steps)
-            factors.append(chain.scalar)
-            big = self._extend_full(comp, lams)
-            factors.append(fredlines.stabilization(comp, big).scalar)
-            p0s = tuple(p0 for _ in lams)
+            factors, comp = self._chain(lams, ps, schedule)
+            diag = [(k, k) for k in range(len(lams))]
+            big = self._extend(comp, lams, diag)
+            factors.append(fredlines.stabilization(comp, big))
             omegas = [big_Omega(list(lams), pair, p0s) for pair in reversed(schedule)]
-            target = self._extend_full(reduce(FiberedLatticeOp.compose, omegas), lams)
-            factors.append(fredlines.perturbation(big, target).scalar)
+            target = self._extend(reduce(FiberedLatticeOp.compose, omegas), lams, diag)
+            factors.append(fredlines.perturbation(big, target))
             return reduce(mul, factors)
 
         return self._get(key, build)
@@ -303,35 +314,16 @@ def change_base(x: HomElement, p0_new: RingIdempotent) -> HomElement:
     lam, mu, p, q = x.lam, x.mu, x.p, x.q
 
     def half(ctx):
-        p0 = ctx.p0
         lams = (lam, mu, mu)
-        T13 = big_F(list(lams), (0, 2), (p, q, p0))
-        T12 = big_F(list(lams), (0, 1), (p0, q, p))
-        s1 = fredlines.stabilization(ctx.F(lam, mu, p, p0), T13, (0, 2), (0, 2)).scalar
-        s2 = fredlines.stabilization(ctx.F(lam, mu, p0, q), T12, (0, 1), (0, 1)).scalar
-        comp = T12.compose(T13)
-        tors = fredlines.torsion(T13, T12, comp)
-        full = sigma_region(mu, RingIdempotent.unit())
-        comp_region = full.subtract(comp.dom.slots[2].support)
-        dom_slots = [(s.name, s.support) for s in comp.dom.slots]
-        cod_slots = [(s.name, s.support) for s in comp.cod.slots]
-        dom_slots[2] = (dom_slots[2][0], full)
-        cod_slots[1] = (cod_slots[1][0], full)
-        entries = {key: list(pairs) for key, pairs in comp.entries.items()}
-        entries.setdefault((1, 2), [])
-        entries[(1, 2)] = entries[(1, 2)] + [
-            (1.0, b) for b in comp_region.canonical_boxes()
-        ]
-        big = FiberedLatticeOp(SlotSpace(dom_slots), SlotSpace(cod_slots), entries)
-        s3 = fredlines.stabilization(comp, big).scalar
-        return s1 * s2 * tors.scalar * s3, big
+        factors, comp = ctx._chain(lams, (p, q, ctx.p0), ((0, 2), (0, 1)))
+        big = ctx._extend(comp, lams, [(1, 2)])
+        factors.append(fredlines.stabilization(comp, big))
+        return reduce(mul, factors), big
 
     s_old, big_old = half(x.ctx)
     s_new, big_new = half(ctx_new)
     pert = fredlines.perturbation(big_old, big_new)
-    return HomElement(
-        ctx_new, p, q, lam, mu, x.coeff * s_old * pert.scalar / s_new
-    )
+    return HomElement(ctx_new, p, q, lam, mu, x.coeff * s_old * pert / s_new)
 
 
 def _beta(k: Monomial2, p: RingIdempotent) -> RingIdempotent:

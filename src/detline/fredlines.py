@@ -1,10 +1,10 @@
 """Determinant lines of Fredholm operators and their canonical maps.
 
-Maps between determinant lines are stored as a single complex scalar
-relative to canonical frames: the frame of |T| is (wedge of the canonical
-kernel basis) tensor (dual wedge of the canonical cokernel
-representatives), in presentation order.  Composing maps multiplies
-scalars.
+Every map between determinant lines is returned as a plain complex
+number relative to canonical frames: the frame of |T| is (wedge of the
+canonical kernel basis) tensor (dual wedge of the canonical cokernel
+representatives), in presentation order, and |T| has degree T.index().
+Composing maps multiplies the numbers.
 
 The torsion and perturbation maps work on fibered lattice operators and
 on dense windows alike.  Besides presentation, apply, express_in_kernel,
@@ -19,12 +19,10 @@ that shift the index to zero).  Quasi-isomorphisms are fibered only:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _linalg
-from .graded import ExactTriangle, GradedLine, GradedVectorSpace, torsion_of_triangle
+from .graded import ExactTriangle, GradedVectorSpace, torsion_of_triangle
 from .lattice import FiberedLatticeOp, Presentation
 from .errors import (
     IndexMismatch,
@@ -35,25 +33,8 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class LineMap:
-    """Line isomorphism: tensor of source frames -> scalar * target frame."""
-
-    scalar: complex
-    degree_in: int
-    degree_out: int
-
-
-def det_line(op) -> GradedLine:
-    """Determinant line of a certified Fredholm operator."""
-    pres = op.presentation()
-    return GradedLine(pres.degree, f"|ker {len(pres.ker)} (x) coker {len(pres.coker)}*|")
-
-
-def _space_of(pres: Presentation, tag: str) -> GradedVectorSpace:
-    even = tuple((tag, "k", i) for i in range(len(pres.ker)))
-    odd = tuple((tag, "c", i) for i in range(len(pres.coker)))
-    return GradedVectorSpace(even, odd)
+def _space_of(pres: Presentation) -> GradedVectorSpace:
+    return GradedVectorSpace(len(pres.ker), len(pres.coker))
 
 
 def triangle_of_composition(T, S, ST=None):
@@ -67,10 +48,10 @@ def triangle_of_composition(T, S, ST=None):
     q_minus = S.coker_coords(list(pST.coker))
     d_plus = T.coker_coords(list(pS.ker))
     d_minus = np.zeros((len(pT.ker), len(pS.coker)))
-    tri = ExactTriangle(
-        U=_space_of(pT, "T"),
-        V=_space_of(pST, "ST"),
-        W=_space_of(pS, "S"),
+    return ExactTriangle(
+        U=_space_of(pT),
+        V=_space_of(pST),
+        W=_space_of(pS),
         i_plus=i_plus,
         i_minus=i_minus,
         q_plus=q_plus,
@@ -78,34 +59,29 @@ def triangle_of_composition(T, S, ST=None):
         d_plus=d_plus,
         d_minus=d_minus,
     )
-    return tri, ST
 
 
-def torsion(T, S, ST=None) -> LineMap:
+def torsion(T, S, ST=None) -> complex:
     """Torsion isomorphism |T| (x) |S| -> |ST| on canonical frames."""
-    tri, ST = triangle_of_composition(T, S, ST)
-    tor = torsion_of_triangle(tri)
-    deg_in = T.presentation().degree + S.presentation().degree
-    return LineMap(1.0 / tor.scalar, deg_in, ST.presentation().degree)
+    return 1.0 / torsion_of_triangle(triangle_of_composition(T, S, ST))
 
 
-def torsion_chain(ops) -> tuple[LineMap, object]:
+def torsion_chain(ops) -> tuple[complex, object]:
     """|A1| (x) ... (x) |An| -> |An ... A1| for a composable chain.
 
     `ops` is listed in application order (A1 acts first).  Returns the
-    line map and the composite An ... A1, associated from the left.
+    scalar and the composite An ... A1, associated from the left.
     """
     scalar = 1.0 + 0.0j
     partial = ops[-1]
     for op in reversed(ops[:-1]):
         composite = partial.compose(op)
-        scalar *= torsion(op, partial, composite).scalar
+        scalar *= torsion(op, partial, composite)
         partial = composite
-    deg_in = sum(op.presentation().degree for op in ops)
-    return LineMap(scalar, deg_in, partial.presentation().degree), partial
+    return scalar, partial
 
 
-def quasi_map(phi, psi, T1, T2) -> LineMap:
+def quasi_map(phi, psi, T1, T2) -> complex:
     """Line map |T1| -> |T2| induced by a quasi-isomorphism (phi, psi)."""
     if not T2.intertwines(T1, phi, psi):
         raise NotQuasiIso("psi T1 != T2 phi")
@@ -117,10 +93,10 @@ def quasi_map(phi, psi, T1, T2) -> LineMap:
     det_a, det_b = _linalg.det(a), _linalg.det(b)
     if abs(det_a) < 1e-12 or abs(det_b) < 1e-12:
         raise NotQuasiIso("induced kernel/cokernel maps are singular")
-    return LineMap(det_a / det_b, p1.degree, p2.degree)
+    return det_a / det_b
 
 
-def stabilization(T, T_big, dom_positions=None, cod_positions=None) -> LineMap:
+def stabilization(T, T_big, dom_positions=None, cod_positions=None) -> complex:
     """Stabilisation |T| -> |T + Gamma| via the slotwise inclusions."""
     if dom_positions is None:
         dom_positions = list(range(len(T.dom)))
@@ -205,12 +181,9 @@ def _split_triangle_scalar(T, padded, aux_dom, aux_cod) -> complex:
         [[rv.get(al, 0.0) for rv in pP.coker] for al in aux_cod], dtype=complex
     ).reshape(len(aux_cod), len(pP.coker))
     tri = ExactTriangle(
-        U=_space_of(pT, "T"),
-        V=_space_of(pP, "P"),
-        W=GradedVectorSpace(
-            tuple(("0", "k", i) for i in range(len(aux_dom))),
-            tuple(("0", "c", i) for i in range(len(aux_cod))),
-        ),
+        U=_space_of(pT),
+        V=_space_of(pP),
+        W=GradedVectorSpace(len(aux_dom), len(aux_cod)),
         i_plus=i_plus,
         i_minus=i_minus,
         q_plus=q_plus,
@@ -218,10 +191,10 @@ def _split_triangle_scalar(T, padded, aux_dom, aux_cod) -> complex:
         d_plus=np.zeros((len(pT.coker), len(aux_dom))),
         d_minus=np.zeros((len(pT.ker), len(aux_cod))),
     )
-    return torsion_of_triangle(tri).scalar
+    return torsion_of_triangle(tri)
 
 
-def perturbation(T1, T2, images1=None, images2=None) -> LineMap:
+def perturbation(T1, T2, images1=None, images2=None) -> complex:
     """Perturbation isomorphism |T1| -> |T2| for trace-class differences."""
     if not T1.finite_difference(T2):
         raise NotTraceClassDifference("difference has unbounded support")
@@ -229,11 +202,10 @@ def perturbation(T1, T2, images1=None, images2=None) -> LineMap:
     if idx1 != idx2:
         raise IndexMismatch(f"indices differ: {idx1} vs {idx2}")
     if idx1 == 0:
-        scalar = _pert_index0(T1, T2, images1, images2)
-        return LineMap(scalar, idx1, idx2)
+        return _pert_index0(T1, T2, images1, images2)
     n_dom, n_cod = max(0, -idx1), max(0, idx1)
     P1, P2, aux_dom, aux_cod = T1.pad_pair(T2, n_dom, n_cod)
     t1 = _split_triangle_scalar(T1, P1, aux_dom, aux_cod)
     t2 = _split_triangle_scalar(T2, P2, aux_dom, aux_cod)
     s_pad = _pert_index0(P1, P2)
-    return LineMap(t2 * s_pad / t1, idx1, idx2)
+    return t2 * s_pad / t1

@@ -1,9 +1,9 @@
-"""Determinant lines of Z/2-graded vector spaces and triangle torsion.
+"""Z/2-graded vector spaces and the torsion of exact triangles.
 
-Every line isomorphism in this module is stored as a single complex
-scalar relative to canonical frames: the canonical frame of Det(V) is
-(top wedge of the even basis) tensor (dual top wedge of the odd basis),
-both in the listed basis order.
+A determinant-line isomorphism is a single complex scalar relative to
+canonical frames: the canonical frame of Det(V) is (top wedge of the even
+basis) tensor (dual top wedge of the odd basis), both in basis order.
+Det(V) has degree dim_even - dim_odd.
 """
 
 from __future__ import annotations
@@ -18,49 +18,15 @@ from .errors import NotExact
 
 @dataclass(frozen=True)
 class GradedVectorSpace:
-    """Finite-dimensional Z/2-graded space given by ordered basis labels."""
+    """Finite-dimensional Z/2-graded space with its standard basis."""
 
-    even_basis: tuple
-    odd_basis: tuple
-
-    def __post_init__(self):
-        labels = tuple(self.even_basis) + tuple(self.odd_basis)
-        if len(set(labels)) != len(labels):
-            raise ValueError("basis labels must be distinct")
-
-    @property
-    def dim_even(self) -> int:
-        return len(self.even_basis)
-
-    @property
-    def dim_odd(self) -> int:
-        return len(self.odd_basis)
+    dim_even: int
+    dim_odd: int
 
 
-@dataclass(frozen=True)
-class GradedLine:
-    """A Z-graded complex line presented by a canonical frame tag."""
-
-    degree: int
-    frame_tag: str = ""
-
-
-def det_space(space: GradedVectorSpace) -> GradedLine:
-    """Determinant line of a graded space; Det({0}) is (C, 0)."""
-    even = "^".join(str(b) for b in space.even_basis) or "1"
-    odd = "^".join(str(b) for b in space.odd_basis)
-    tag = even if not odd else f"{even} (x) ({odd})*"
-    return GradedLine(space.dim_even - space.dim_odd, tag)
-
-
-def tensor_lines(a: GradedLine, b: GradedLine) -> GradedLine:
-    tag = f"{a.frame_tag} (x) {b.frame_tag}".strip()
-    return GradedLine(a.degree + b.degree, tag)
-
-
-def swap_epsilon(a: GradedLine, b: GradedLine) -> int:
-    """Sign of the commutativity constraint swapping the two lines."""
-    return -1 if (a.degree * b.degree) % 2 else 1
+def swap_epsilon(a: int, b: int) -> int:
+    """Sign of the commutativity constraint swapping lines of degrees a and b."""
+    return -1 if (a * b) % 2 else 1
 
 
 @dataclass
@@ -149,18 +115,7 @@ def _complement_of_kernel(mat, rng=None):
     raise NotExact("could not sample a kernel complement")
 
 
-@dataclass(frozen=True)
-class TriangleTorsion:
-    """Det(Delta): Det(V) -> Det(U) (x) Det(W) on canonical frames."""
-
-    scalar: complex
-    sign_exponent: int
-    line_V: GradedLine
-    line_U: GradedLine
-    line_W: GradedLine
-
-
-def torsion_of_triangle(tri: ExactTriangle, rng=None) -> TriangleTorsion:
+def torsion_of_triangle(tri: ExactTriangle, rng=None) -> complex:
     """Torsion isomorphism of an exact triangle.
 
     The result is the scalar t with Det(Delta)(frame V) = t * frame U
@@ -200,10 +155,4 @@ def torsion_of_triangle(tri: ExactTriangle, rng=None) -> TriangleTorsion:
     )
     sign = -1.0 if eps % 2 else 1.0
     scalar = sign * (a_minus / a_plus) * (b_plus / b_minus) * (c_plus / c_minus)
-    return TriangleTorsion(
-        scalar=complex(scalar),
-        sign_exponent=eps,
-        line_V=det_space(tri.V),
-        line_U=det_space(tri.U),
-        line_W=det_space(tri.W),
-    )
+    return complex(scalar)

@@ -389,7 +389,7 @@ def _mono_compose(x, y):
     comp = S.compose(T)
     tors = fredlines.torsion(T, S, comp)
     pert = fredlines.perturbation(comp, _ref_mor_op(x.nu, y.nv))
-    return _MonoMor(x.nu, y.nv, x.coeff * y.coeff * tors.scalar * pert.scalar)
+    return _MonoMor(x.nu, y.nv, x.coeff * y.coeff * tors * pert)
 
 
 def _mono_invert(x):
@@ -440,7 +440,7 @@ def _win_compose(ctx, x, y):
     comp = S.compose(T)
     tors = fredlines.torsion(T, S, comp)
     pert = fredlines.perturbation(comp, ctx.toeplitz(x.u, y.v, x.dom_n))
-    return _WinMor(x.u, y.v, x.dom_n, x.coeff * y.coeff * tors.scalar * pert.scalar)
+    return _WinMor(x.u, y.v, x.dom_n, x.coeff * y.coeff * tors * pert)
 
 
 def _win_alpha(ctx, u, v, dom_n):
@@ -448,7 +448,7 @@ def _win_alpha(ctx, u, v, dom_n):
     if ci.winding_number(u) == ci.winding_number(v):
         sym = ctx.toeplitz(v, u, dom_n)
         inv = DenseOp(op.dom_labels, op.cod_labels, np.linalg.inv(ctx.completed(sym)))
-        return _WinMor(u, v, dom_n, fredlines.perturbation(inv, op).scalar)
+        return _WinMor(u, v, dom_n, fredlines.perturbation(inv, op))
     return _WinMor(u, v, dom_n, 1.0 + 0.0j)
 
 

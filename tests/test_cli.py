@@ -1,6 +1,7 @@
 """Command-line interface: parsing, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,12 @@ from detline.cli import main, parse_loop, parse_monomial2
 from detline.errors import ParseError
 
 GOLDEN = Path(__file__).parent / "golden"
+# A child `python -m detline.cli` imports detline from this checkout's src/.
+SRC = Path(__file__).resolve().parent.parent / "src"
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+}
 
 
 def run(capsys, *argv):
@@ -121,7 +128,9 @@ def test_tame_command_exits_1_on_oracle_mismatch(capsys, monkeypatch):
 )
 def test_readme_commands_match_golden_bytes(name, argv):
     # stdout of the README examples that do not depend on LAPACK rounding
-    res = subprocess.run([sys.executable, "-m", "detline.cli", *argv], capture_output=True)
+    res = subprocess.run(
+        [sys.executable, "-m", "detline.cli", *argv], capture_output=True, env=CHILD_ENV
+    )
     assert res.returncode == 0
     assert res.stdout == (GOLDEN / f"{name}.json").read_bytes()
 
@@ -140,7 +149,7 @@ def test_verify_command_and_determinism(capsys):
 
 def test_cross_process_determinism():
     cmd = [sys.executable, "-m", "detline.cli", "verify", "--suite", "cocycle", "--trials", "3", "--seed", "12"]
-    a = subprocess.run(cmd, capture_output=True, text=True)
-    b = subprocess.run(cmd, capture_output=True, text=True)
+    a = subprocess.run(cmd, capture_output=True, text=True, env=CHILD_ENV)
+    b = subprocess.run(cmd, capture_output=True, text=True, env=CHILD_ENV)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout

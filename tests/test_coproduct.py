@@ -5,8 +5,9 @@ import pytest
 
 from detline import coproduct as cp
 from detline._linalg import perm_sign_by_key
-from detline.lattice import label_key
-from detline.torus import Monomial2, RingIdempotent, SigmaIndex
+from detline.errors import IdealViolation
+from detline.lattice import FiberedLatticeOp, SlotSpace, label_key
+from detline.torus import Monomial2, RingIdempotent, SigmaIndex, sigma_region
 from detline.verify import random_monomial, suite_category
 
 E = Monomial2.one()
@@ -114,6 +115,27 @@ def test_base_change_equivalence_relation(ctx):
     two_step = cp.change_base(cp.change_base(x, w1), w2)
     one_step = cp.change_base(x, w2)
     assert two_step.coeff == pytest.approx(one_step.coeff, rel=1e-9)
+
+
+def test_extend_rejects_a_mismatched_complement(ctx):
+    # change_base extends its composite from dom slot 2 to cod slot 1; the
+    # two complements in pi_mu(1) must agree
+    lams = (SigmaIndex(mono(1, 1, 0)), SigmaIndex(mono(1, 3, 0)), SigmaIndex(mono(1, 3, 0)))
+
+    def zero(dom_ps, cod_ps):
+        def space(ps):
+            return SlotSpace([(f"s{k}", sigma_region(l, p)) for k, (l, p) in enumerate(zip(lams, ps))])
+
+        return FiberedLatticeOp(space(dom_ps), space(cod_ps), {})
+
+    p, r = q(mono(1, 0, 1)), q(mono(1, 0, 3))
+    big = ctx._extend(zero((p, p, p), (p, p, p)), lams, [(1, 2)])
+    full = sigma_region(lams[1], RingIdempotent.unit())
+    assert big.dom.slots[2].support == big.cod.slots[1].support == full
+    assert big.dom.slots[1].support == sigma_region(lams[1], p)
+    assert list(big.entries) == [(1, 2)]
+    with pytest.raises(IdealViolation):
+        ctx._extend(zero((p, p, p), (p, r, p)), lams, [(1, 2)])
 
 
 def test_group_action_explicit(ctx):
