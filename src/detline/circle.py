@@ -325,7 +325,7 @@ def cres_cocycle(g: Loop, h: Loop, window_n: int = 64, certify: bool = True) -> 
     val = _cres_window(g, h, window_n)
     if certify:
         val2 = _cres_window(g, h, window_n + 16)
-        certify_stable(((), [val]), ((), [val2]))
+        certify_stable(val, val2)
     return val
 
 

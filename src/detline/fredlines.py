@@ -11,10 +11,11 @@ on dense windows alike.  Besides presentation, apply, express_in_kernel,
 coker_coords and compose, an operator provides what the perturbation map
 needs: `finite_difference` (whether a difference is trace class),
 `label_key` (the order of kernel labels, grouped by fiber), `pert_labels`
-(the finite block carrying the perturbation determinant), `block` (the
-operator's matrix on that block) and `pad_pair` (auxiliary coordinates
-that shift the index to zero).  Quasi-isomorphisms are fibered only:
-`quasi_map` checks its square with `FiberedLatticeOp.intertwines`.
+(the finite block carrying the perturbation determinant) and `block` (the
+operator's matrix on that block).  For index d != 0 the block has d more
+columns than rows, and the perturbation map pads the block, not the
+operators, to a square.  Quasi-isomorphisms are fibered only: `quasi_map`
+checks its square with `FiberedLatticeOp.intertwines`.
 """
 
 from __future__ import annotations
@@ -110,6 +111,10 @@ def stabilization(T, T_big, dom_positions=None, cod_positions=None) -> complex:
         raise NotComplementary(str(exc)) from exc
 
 
+# Module sentinel naming the zero rows or columns that pad a block square.
+_PAD = object()
+
+
 def _matcher_images(pres: Presentation):
     return [dict(r) for r in pres.coker]
 
@@ -132,26 +137,45 @@ def _chi_functionals(op, kers):
 
 
 def completed(T, dom_labels, cod_labels, kers, images):
-    """Block of T on the labels plus the matcher sum_j images[j] (x) chi_j.
+    """Block of T on the labels, padded square, plus the matcher.
 
-    chi_j are the dual functionals of the kernel vectors `kers`, so the
-    matcher sends the j-th kernel vector to images[j].
+    The matcher is sum_j images[j] (x) chi_j, with chi_j the dual
+    functionals of the kernel vectors `kers`, so it sends the j-th kernel
+    vector to images[j].  A block with d more domain than codomain labels
+    gains d zero rows, whose unit vectors follow `images`; one with |d|
+    fewer gains |d| zero columns, whose unit covectors follow the chi_j.
+    The padding is labelled (_PAD, k).
     """
-    mat = T.block(dom_labels, cod_labels)
-    dpos = {l: i for i, l in enumerate(dom_labels)}
-    cpos = {l: i for i, l in enumerate(cod_labels)}
-    chis = _chi_functionals(T, kers) if kers else []
-    for j, img in enumerate(images):
+    pad = len(dom_labels) - len(cod_labels)
+    pad_dom = [(_PAD, k) for k in range(-pad)]
+    pad_cod = [(_PAD, k) for k in range(pad)]
+    mat = np.pad(T.block(dom_labels, cod_labels), ((0, len(pad_cod)), (0, len(pad_dom))))
+    dpos = {l: i for i, l in enumerate([*dom_labels, *pad_dom])}
+    cpos = {l: i for i, l in enumerate([*cod_labels, *pad_cod])}
+    chis = (_chi_functionals(T, kers) if kers else []) + [{l: 1.0} for l in pad_dom]
+    for j, img in enumerate([*images, *({l: 1.0} for l in pad_cod)]):
         for rl, rv in img.items():
             for cl, cv in chis[j].items():
                 mat[cpos[rl], dpos[cl]] += rv * cv
     return mat
 
 
-def _pert_index0(T1, T2, images1=None, images2=None) -> complex:
-    """det((T2 + F2)(T1 + F1)^{-1}) on the perturbation block, F_i the matchers
-    sending kernel frames to images_i, corrected by the images' cokernel
-    coordinates."""
+def perturbation(T1, T2, images1=None, images2=None) -> complex:
+    """Perturbation isomorphism |T1| -> |T2| for trace-class differences.
+
+    det((T2 + F2)(T1 + F1)^{-1}) on the perturbation block padded square
+    by `completed`, where F_i sends the kernel frame of T_i to images_i (by
+    default its cokernel representatives) and to the padding; the images'
+    cokernel coordinates correct the ratio.  Padding the block is padding
+    both operators by |d| zero-mapped coordinates: the torsion of the split
+    triangle I(T_i) -> I(T_i + 0) -> I(0) is a sign fixed by d and the
+    parity of dim ker T_i + dim coker T_i, so the two cancel.
+    """
+    if not T1.finite_difference(T2):
+        raise NotTraceClassDifference("difference has unbounded support")
+    idx1, idx2 = T1.index(), T2.index()
+    if idx1 != idx2:
+        raise IndexMismatch(f"indices differ: {idx1} vs {idx2}")
     p1, p2 = T1.presentation(), T2.presentation()
     if images1 is None:
         images1 = _matcher_images(p1)
@@ -160,52 +184,10 @@ def _pert_index0(T1, T2, images1=None, images2=None) -> complex:
     c1 = _linalg.det(T1.coker_coords(images1))
     c2 = _linalg.det(T2.coker_coords(images2))
     dom_labels, cod_labels = T1.pert_labels(T2, [*images1, *images2])
-    if len(dom_labels) != len(cod_labels):
-        raise IndexMismatch("perturbation block is not square")
+    if len(dom_labels) - len(cod_labels) != idx1:
+        raise IndexMismatch("perturbation block does not carry the index")
     d1 = _linalg.det(completed(T1, dom_labels, cod_labels, p1.ker, images1))
     d2 = _linalg.det(completed(T2, dom_labels, cod_labels, p2.ker, images2))
     if abs(d1) < 1e-300:
         raise IndexMismatch("completion of the first operator is singular")
     return d2 / d1 * c1 / c2
-
-
-def _split_triangle_scalar(T, padded, aux_dom, aux_cod) -> complex:
-    """Det of the split triangle I(T) -> I(T + 0) -> I(0_{m,n})."""
-    pT, pP = T.presentation(), padded.presentation()
-    i_plus = padded.express_in_kernel(list(pT.ker))
-    i_minus = padded.coker_coords(list(pT.coker))
-    q_plus = np.array(
-        [[kv.get(al, 0.0) for kv in pP.ker] for al in aux_dom], dtype=complex
-    ).reshape(len(aux_dom), len(pP.ker))
-    q_minus = np.array(
-        [[rv.get(al, 0.0) for rv in pP.coker] for al in aux_cod], dtype=complex
-    ).reshape(len(aux_cod), len(pP.coker))
-    tri = ExactTriangle(
-        U=_space_of(pT),
-        V=_space_of(pP),
-        W=GradedVectorSpace(len(aux_dom), len(aux_cod)),
-        i_plus=i_plus,
-        i_minus=i_minus,
-        q_plus=q_plus,
-        q_minus=q_minus,
-        d_plus=np.zeros((len(pT.coker), len(aux_dom))),
-        d_minus=np.zeros((len(pT.ker), len(aux_cod))),
-    )
-    return torsion_of_triangle(tri)
-
-
-def perturbation(T1, T2, images1=None, images2=None) -> complex:
-    """Perturbation isomorphism |T1| -> |T2| for trace-class differences."""
-    if not T1.finite_difference(T2):
-        raise NotTraceClassDifference("difference has unbounded support")
-    idx1, idx2 = T1.index(), T2.index()
-    if idx1 != idx2:
-        raise IndexMismatch(f"indices differ: {idx1} vs {idx2}")
-    if idx1 == 0:
-        return _pert_index0(T1, T2, images1, images2)
-    n_dom, n_cod = max(0, -idx1), max(0, idx1)
-    P1, P2, aux_dom, aux_cod = T1.pad_pair(T2, n_dom, n_cod)
-    t1 = _split_triangle_scalar(T1, P1, aux_dom, aux_cod)
-    t2 = _split_triangle_scalar(T2, P2, aux_dom, aux_cod)
-    s_pad = _pert_index0(P1, P2)
-    return t2 * s_pad / t1

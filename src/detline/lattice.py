@@ -482,7 +482,7 @@ class FiberedLatticeOp:
                     out[k, cix] += sol[len(dom_a) + ix]
         return out
 
-    # -- perturbation blocks and padding --------------------------------------
+    # -- perturbation blocks --------------------------------------------------
 
     @staticmethod
     def label_key(label):
@@ -530,27 +530,6 @@ class FiberedLatticeOp:
                 for c, j in enumerate(d_a):
                     mat[cpos[(pt, i)], dpos[(pt, j)]] = m[r, c]
         return mat
-
-    def pad_pair(self, other: "FiberedLatticeOp", n_dom: int, n_cod: int):
-        """Both operators with zero-mapped auxiliary slots at shared fresh points.
-
-        Returns (padded self, padded other, aux domain labels, aux codomain
-        labels).
-        """
-        base = max(c[-1] + 4 if c else 1 for op in (self, other) for c in op._grid())
-        aux_pts = [tuple(base + 2 * k for _ in range(self.dim)) for k in range(max(n_dom, n_cod))]
-        aux = [BoxUnion(self.dim, [Box(tuple((x, x + 1) for x in pt))]) for pt in aux_pts]
-        out = []
-        for T in (self, other):
-            dom_slots = [(s.name, s.support) for s in T.dom.slots]
-            cod_slots = [(s.name, s.support) for s in T.cod.slots]
-            dom_slots += [(f"_auxd{k}", aux[k]) for k in range(n_dom)]
-            cod_slots += [(f"_auxc{k}", aux[k]) for k in range(n_cod)]
-            entries = {key: list(pairs) for key, pairs in T.entries.items()}
-            out.append(FiberedLatticeOp(SlotSpace(dom_slots), SlotSpace(cod_slots), entries))
-        aux_dom = [(aux_pts[k], len(self.dom) + k) for k in range(n_dom)]
-        aux_cod = [(aux_pts[k], len(self.cod) + k) for k in range(n_cod)]
-        return out[0], out[1], aux_dom, aux_cod
 
     # -- scalar invariants ----------------------------------------------------
 

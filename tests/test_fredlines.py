@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from detline import fredlines
+from detline import _linalg, fredlines
 from detline._intervals import Box, BoxUnion
 from detline.errors import (
     NotComplementary,
@@ -11,8 +11,10 @@ from detline.errors import (
     NotTraceClassDifference,
     ShapeMismatch,
 )
+from detline.graded import ExactTriangle, GradedVectorSpace, torsion_of_triangle
 from detline.lattice import FiberedLatticeOp, SlotSpace
 from detline.verify import (
+    _well_conditioned,
     random_fibered_op,
     random_finite_box,
     suite_perturbation,
@@ -426,3 +428,163 @@ def test_torsion_chain_composes_once_per_step(monkeypatch):
         before = len(composed)
         fredlines.torsion_chain(steps[:n])
         assert len(composed) - before == n - 1
+
+
+# -- the padded-operator route for index != 0 --------------------------------
+#
+# The reference is the route `perturbation` replaced: both operators got |d|
+# zero-mapped auxiliary coordinates, the index-zero map ran between the
+# padded pair, and the torsions t1, t2 of the split triangles
+# I(T_i) -> I(T_i + 0) -> I(0_{m,n}) corrected it by t2 / t1.
+
+
+def _ref_pad_fibered(T1, T2, n_dom, n_cod):
+    base = max(c[-1] + 4 if c else 1 for op in (T1, T2) for c in op._grid())
+    aux_pts = [tuple(base + 2 * k for _ in range(T1.dim)) for k in range(max(n_dom, n_cod))]
+    aux = [BoxUnion(T1.dim, [Box(tuple((x, x + 1) for x in pt))]) for pt in aux_pts]
+    out = []
+    for T in (T1, T2):
+        dom_slots = [(s.name, s.support) for s in T.dom.slots]
+        cod_slots = [(s.name, s.support) for s in T.cod.slots]
+        dom_slots += [(f"_auxd{k}", aux[k]) for k in range(n_dom)]
+        cod_slots += [(f"_auxc{k}", aux[k]) for k in range(n_cod)]
+        entries = {key: list(pairs) for key, pairs in T.entries.items()}
+        out.append(FiberedLatticeOp(SlotSpace(dom_slots), SlotSpace(cod_slots), entries))
+    aux_dom = [(aux_pts[k], len(T1.dom) + k) for k in range(n_dom)]
+    aux_cod = [(aux_pts[k], len(T1.cod) + k) for k in range(n_cod)]
+    return out[0], out[1], aux_dom, aux_cod
+
+
+def _ref_pad_dense(T1, T2, n_dom, n_cod):
+    aux_dom = [("auxd", k) for k in range(n_dom)]
+    aux_cod = [("auxc", k) for k in range(n_cod)]
+    out = []
+    for T in (T1, T2):
+        mat = np.zeros((len(T.cod_labels) + n_cod, len(T.dom_labels) + n_dom), dtype=complex)
+        mat[: len(T.cod_labels), : len(T.dom_labels)] = T.matrix
+        out.append(DenseOp(T.dom_labels + aux_dom, T.cod_labels + aux_cod, mat))
+    return out[0], out[1], aux_dom, aux_cod
+
+
+def _ref_completed(T, dom_labels, cod_labels, kers, images):
+    mat = T.block(dom_labels, cod_labels)
+    dpos = {l: i for i, l in enumerate(dom_labels)}
+    cpos = {l: i for i, l in enumerate(cod_labels)}
+    chis = fredlines._chi_functionals(T, kers) if kers else []
+    for j, img in enumerate(images):
+        for rl, rv in img.items():
+            for cl, cv in chis[j].items():
+                mat[cpos[rl], dpos[cl]] += rv * cv
+    return mat
+
+
+def _ref_pert_index0(T1, T2):
+    p1, p2 = T1.presentation(), T2.presentation()
+    images1, images2 = [dict(r) for r in p1.coker], [dict(r) for r in p2.coker]
+    c1 = _linalg.det(T1.coker_coords(images1))
+    c2 = _linalg.det(T2.coker_coords(images2))
+    dom_labels, cod_labels = T1.pert_labels(T2, [*images1, *images2])
+    assert len(dom_labels) == len(cod_labels)
+    d1 = _linalg.det(_ref_completed(T1, dom_labels, cod_labels, p1.ker, images1))
+    d2 = _linalg.det(_ref_completed(T2, dom_labels, cod_labels, p2.ker, images2))
+    return d2 / d1 * c1 / c2
+
+
+def _ref_split_triangle_scalar(T, padded, aux_dom, aux_cod):
+    pT, pP = T.presentation(), padded.presentation()
+    q_plus = np.array(
+        [[kv.get(al, 0.0) for kv in pP.ker] for al in aux_dom], dtype=complex
+    ).reshape(len(aux_dom), len(pP.ker))
+    q_minus = np.array(
+        [[rv.get(al, 0.0) for rv in pP.coker] for al in aux_cod], dtype=complex
+    ).reshape(len(aux_cod), len(pP.coker))
+    return torsion_of_triangle(
+        ExactTriangle(
+            U=GradedVectorSpace(len(pT.ker), len(pT.coker)),
+            V=GradedVectorSpace(len(pP.ker), len(pP.coker)),
+            W=GradedVectorSpace(len(aux_dom), len(aux_cod)),
+            i_plus=padded.express_in_kernel(list(pT.ker)),
+            i_minus=padded.coker_coords(list(pT.coker)),
+            q_plus=q_plus,
+            q_minus=q_minus,
+            d_plus=np.zeros((len(pT.coker), len(aux_dom))),
+            d_minus=np.zeros((len(pT.ker), len(aux_cod))),
+        )
+    )
+
+
+def _ref_perturbation(T1, T2):
+    """The old map |T1| -> |T2|, its padded index-zero factor and t2 / t1."""
+    idx = T1.index()
+    if idx == 0:
+        value = _ref_pert_index0(T1, T2)
+        return value, value, 1.0
+    pad = _ref_pad_dense if isinstance(T1, DenseOp) else _ref_pad_fibered
+    P1, P2, aux_dom, aux_cod = pad(T1, T2, max(0, -idx), max(0, idx))
+    t1 = _ref_split_triangle_scalar(T1, P1, aux_dom, aux_cod)
+    t2 = _ref_split_triangle_scalar(T2, P2, aux_dom, aux_cod)
+    padded = _ref_pert_index0(P1, P2)
+    return t2 * padded / t1, padded, t2 / t1
+
+
+def _fibered_pairs(rng):
+    """Single-slot pairs with a trace-class difference and index in [-5, 5]."""
+    pairs = []
+    for idx in range(-5, 6):
+        n_dom = int(rng.integers(-2, 3))
+        T1 = random_fibered_op(rng, n_dom, n_dom + idx)
+        pairs.append((T1, T1.add(random_finite_box(rng, T1))))
+        # a zero fiber beyond the random boxes: one more kernel and cokernel vector
+        tip = max(n_dom, n_dom + idx) + 4
+        zero = {(0, 0): [(-1.0, Box(((tip, tip + 1),)))]}
+        pairs.append((T1, T1.add(FiberedLatticeOp(T1.dom, T1.cod, zero))))
+    return pairs
+
+
+def _two_slot_pair():
+    """Two coupled slots of index 3 - 1 = 2; the fiber at 2 holds two kernel vectors."""
+    dom = SlotSpace([("d", half(0)), ("e", half(2))])
+    cod = SlotSpace([("c", half(3)), ("f", half(1))])
+    ents = {
+        (0, 0): [(1.0, Box(((3, None),)))],
+        (1, 1): [(1.0, Box(((2, None),)))],
+        (1, 0): [(0.5 - 0.2j, Box(((1, 4),)))],
+    }
+    bump = {(0, 1): [(0.4 + 0.3j, Box(((3, 5),)))], (1, 1): [(-0.6j, Box(((2, 4),)))]}
+    T1 = FiberedLatticeOp(dom, cod, ents)
+    return T1, T1.add(FiberedLatticeOp(dom, cod, bump))
+
+
+def test_perturbation_matches_the_padded_route_on_fibered_pairs():
+    pairs = _fibered_pairs(np.random.default_rng(15))
+    assert {T1.index() for T1, _ in pairs} == set(range(-5, 6))
+    assert any(len(T1.presentation().ker) != len(T2.presentation().ker) for T1, T2 in pairs)
+    for T1, T2 in pairs:
+        want, padded, ratio = _ref_perturbation(T1, T2)
+        got = fredlines.perturbation(T1, T2)
+        assert got == want == padded and ratio == 1
+    # Two kernel vectors in one fiber: the split-triangle torsions are +-1
+    # only up to roundoff, which the padded block no longer picks up.
+    T1, T2 = _two_slot_pair()
+    want, padded, ratio = _ref_perturbation(T1, T2)
+    got = fredlines.perturbation(T1, T2)
+    assert got == padded
+    assert ratio == pytest.approx(1, rel=1e-15, abs=1e-15)
+    assert got == pytest.approx(want, rel=1e-15)
+
+
+def test_perturbation_matches_the_padded_route_on_dense_pairs():
+    rng = np.random.default_rng(16)
+    for idx in range(-3, 4):
+        for _ in range(3):
+            n_cod = int(rng.integers(3, 6))
+            n_dom = n_cod + idx
+            dom, cod = [("s", 0, i) for i in range(n_dom)], [("s", 1, i) for i in range(n_cod)]
+            rank = int(rng.integers(0, min(n_dom, n_cod) + 1))
+            core = np.zeros((n_cod, n_dom), dtype=complex)
+            core[range(rank), range(rank)] = 1.0
+            mat = _well_conditioned(rng, n_cod) @ core @ _well_conditioned(rng, n_dom)
+            low = rng.standard_normal((n_cod, 1)) @ rng.standard_normal((1, n_dom))
+            T1, T2 = DenseOp(dom, cod, mat), DenseOp(dom, cod, mat + 0.3 * low)
+            want = _ref_perturbation(T1, T2)[0]
+            assert fredlines.perturbation(T1, T2) == pytest.approx(want, rel=1e-12)
