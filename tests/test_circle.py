@@ -308,7 +308,7 @@ def test_each_composition_composes_once(monkeypatch):
     assert len(composed) == 1
 
 
-def test_pairing_decomposes_each_window_operator_once(monkeypatch):
+def test_pairing_decomposes_each_window_operator_once(monkeypatch, svd_flags):
     from detline.windows import DenseOp
 
     fresh = []
@@ -322,6 +322,30 @@ def test_pairing_decomposes_each_window_operator_once(monkeypatch):
     monkeypatch.setattr(DenseOp, "_decompose", counted)
     ci.steinberg_pairing(Z, ci.Loop.laurent([0.3, 2.0, 0.5], -1), 64, certify=False)
     assert len(fresh) == 24
+    # singular vectors only where a kernel or cokernel exists: 7 rectangles
+    # and 4 rank-deficient squares of the 24 (the full SVD took 24)
+    assert svd_flags.count(True) == 11
+
+
+BAND2 = ci.Loop.laurent([0.2 - 0.1j, 0.3, 2.5, 0.4j, 0.1 + 0.2j], -2)
+
+
+@pytest.mark.parametrize("window", [64, 128])
+@pytest.mark.parametrize("n", [1, -1, 2, -2, 3, -3])
+def test_window_pipeline_bit_for_bit_with_full_svds(n, window, monkeypatch, full_svd_decompose):
+    u = ci.Loop.monomial(1.3 - 0.4j, n)
+    got = ci.steinberg_pairing(u, BAND2, window, certify=True)
+    monkeypatch.setattr(DenseOp, "_decompose", full_svd_decompose)
+    assert repr(got) == repr(ci.steinberg_pairing(u, BAND2, window, certify=True))
+
+
+def test_readme_tame_pair_bit_for_bit_with_full_svds(monkeypatch, full_svd_decompose):
+    from detline.cli import parse_loop
+
+    u, v = parse_loop("z"), parse_loop("(2,0):(1,0)@0")
+    got = ci.steinberg_pairing(u, v, 64, certify=True)
+    monkeypatch.setattr(DenseOp, "_decompose", full_svd_decompose)
+    assert repr(got) == repr(ci.steinberg_pairing(u, v, 64, certify=True))
 
 
 def _ref_loop_from_fft(coeffs, tol=1e-12):

@@ -300,7 +300,7 @@ def test_quasi_map_mismatched_slot_spaces_raise():
     with pytest.raises(ShapeMismatch):
         T.finite_difference(op_between(1, 1))
     with pytest.raises(ShapeMismatch):
-        DenseOp.identity([0, 1]).finite_difference(DenseOp.identity([0, 2]))
+        DenseOp([0, 1], [0, 1], np.eye(2)).finite_difference(DenseOp([0, 2], [0, 2], np.eye(2)))
 
 
 def test_intertwines_matches_compose_sub_reference():

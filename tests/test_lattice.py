@@ -10,7 +10,7 @@ from detline._intervals import Box, BoxUnion, _axis_atoms, _cell_rep
 from detline.errors import NotDeterminantClass, NotFiniteRank, ShapeMismatch
 from detline.lattice import COEFF_TOL, FiberedLatticeOp, SlotSpace, _fibers_agree, _walk, pt_key
 from detline.torus import quadrant
-from detline.windows import DenseOp, window_det
+from detline.windows import DenseOp
 from detline import circle as ci
 
 
@@ -165,6 +165,36 @@ def test_inverse_roundtrip():
 # -- windowed mode ----------------------------------------------------------
 
 
+def window_det(op: DenseOp) -> complex:
+    """Determinant of a square window (1 for the empty one): a reference."""
+    if len(op.dom_labels) != len(op.cod_labels):
+        raise ShapeMismatch("determinant of non-square window")
+    if not op.dom_labels:
+        return 1.0 + 0.0j
+    return complex(np.linalg.det(op.matrix))
+
+
+def _with_singular_values(rng, rows, cols, sv):
+    """A rows x cols matrix with the given singular values, randomly rotated."""
+    diag = np.zeros((rows, cols), dtype=complex)
+    diag[np.arange(len(sv)), np.arange(len(sv))] = sv
+    return _unitary(rng, rows) @ diag @ _unitary(rng, cols)
+
+
+def _presentations(matrix, monkeypatch, reference):
+    """repr of the presentation and coordinate maps, rank-first and reference."""
+    rows, cols = matrix.shape
+    probes = [{l: 1.0 + 0.5j * l for l in range(rows)}]
+    out = []
+    for decompose in (DenseOp._decompose, reference):
+        with monkeypatch.context() as m:
+            m.setattr(DenseOp, "_decompose", decompose)
+            op = DenseOp(range(cols), range(rows), matrix)
+            pres = op.presentation()
+            out.append(repr((pres, op._ker_frame, op.coker_coords(probes))))
+    return out
+
+
 def test_window_shifted_identity():
     # bilateral shift between shifted windows: bijective, index zero
     n = 32
@@ -172,6 +202,49 @@ def test_window_shifted_identity():
     ker, coker = op.kernel_cokernel()
     assert ker == [] and coker == [] and op.index() == 0
     assert window_det(DenseOp(list(range(n)), list(range(n)), np.eye(n))) == pytest.approx(1.0)
+
+
+def test_invertible_square_window_takes_singular_values_only(svd_flags):
+    rng = np.random.default_rng(5)
+    op = DenseOp(range(9), range(9), _with_singular_values(rng, 9, 9, np.linspace(3.0, 0.1, 9)))
+    pres = op.presentation()
+    assert pres.ker == () and pres.coker == () and op.index() == 0
+    assert svd_flags == [False]
+    assert op.coker_coords([{0: 1.0}]).shape == (0, 1)
+
+
+def test_rank_first_matches_the_full_svd_reference(monkeypatch, full_svd_decompose, svd_flags):
+    rng = np.random.default_rng(6)
+    # a deficient square takes both SVDs, a rectangle the full one only
+    DenseOp(range(8), range(8), _with_singular_values(rng, 8, 8, [1, 1, 1, 0, 0, 0, 0, 0])).index()
+    DenseOp(range(6), range(9), rng.standard_normal((9, 6))).index()
+    assert svd_flags == [False, True, True]
+    # a rotated rank-deficient square, then rectangles of every kind
+    shapes = [(8, 8, 5), (6, 9, 6), (6, 9, 4), (9, 6, 6), (9, 6, 3), (1, 4, 1), (4, 1, 0)]
+    for rows, cols, rank in shapes:
+        sv = np.concatenate([rng.uniform(0.5, 2.0, rank), np.zeros(min(rows, cols) - rank)])
+        mat = _with_singular_values(rng, rows, cols, sv)
+        mine, ref = _presentations(mat, monkeypatch, full_svd_decompose)
+        assert mine == ref
+
+
+@pytest.mark.parametrize("ratio,dim", [(1e-9, 1), (1e-7, 0)])
+def test_window_rank_cut(ratio, dim, monkeypatch, full_svd_decompose):
+    sv = [2.0, 1.0, 2.0 * ratio]
+    for mat in (np.diag(sv), _with_singular_values(np.random.default_rng(7), 3, 3, sv)):
+        op = DenseOp(range(3), range(3), mat)
+        pres = op.presentation()
+        assert len(pres.ker) == len(pres.coker) == dim
+        mine, ref = _presentations(mat, monkeypatch, full_svd_decompose)
+        assert mine == ref
+
+
+def test_empty_windows():
+    for rows, cols in ((0, 0), (3, 0), (0, 3)):
+        op = DenseOp(range(cols), range(rows), np.zeros((rows, cols)))
+        ker, coker = op.kernel_cokernel()
+        assert (len(ker), len(coker), op.index()) == (cols, rows, cols - rows)
+        assert op.coker_coords([{}]).shape == (rows, 1)
 
 
 def test_window_compression_of_shift():
