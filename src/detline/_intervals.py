@@ -34,10 +34,6 @@ class Box:
 
     axes: tuple  # tuple of (lo, hi) pairs
 
-    @property
-    def dim(self) -> int:
-        return len(self.axes)
-
     def contains(self, pt) -> bool:
         return all(_ivl_contains(iv, x) for iv, x in zip(self.axes, pt))
 
@@ -88,12 +84,6 @@ class BoxUnion:
     def contains(self, pt) -> bool:
         return any(b.contains(pt) for b in self.boxes)
 
-    def is_empty(self) -> bool:
-        return not self.canonical()
-
-    def union(self, other: "BoxUnion") -> "BoxUnion":
-        return BoxUnion(self.dim, self.boxes + other.boxes)
-
     def intersect(self, other: "BoxUnion") -> "BoxUnion":
         out = []
         for a in self.boxes:
@@ -111,9 +101,6 @@ class BoxUnion:
                 cells.append(cell)
         return BoxUnion(self.dim, cells)
 
-    def complement(self) -> "BoxUnion":
-        return BoxUnion.full(self.dim).subtract(self)
-
     def breakpoints(self, axis: int):
         return _breakpoints(self.boxes, axis)
 
@@ -125,19 +112,6 @@ class BoxUnion:
 
     def canonical_boxes(self):
         return tuple(Box(axes) for axes in self.canonical())
-
-    def is_finite(self) -> bool:
-        return all(Box(axes).is_finite() for axes in self.canonical())
-
-    def points(self):
-        """Lattice points of a finite union, sorted last-axis major."""
-        pts = set()
-        for axes in self.canonical():
-            pts.update(Box(axes).points())
-        return sorted(pts, key=lambda p: tuple(reversed(p)))
-
-    def size(self) -> int:
-        return len(self.points())
 
     def __eq__(self, other):
         return (

@@ -106,22 +106,3 @@ def det(mat):
         return 1.0 + 0.0j
     return complex(np.linalg.det(a))
 
-
-def perm_sign_by_key(items, key):
-    """Sign of the permutation sorting `items` by `key` (distinct keys)."""
-    keyed = [key(x) for x in items]
-    order = sorted(range(len(items)), key=lambda i: keyed[i])
-    sign = 1
-    seen = [False] * len(order)
-    for i in range(len(order)):
-        if seen[i]:
-            continue
-        j = i
-        clen = 0
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign

@@ -34,7 +34,6 @@ class Loop:
     mu: complex = 1.0
     n: int = 0
     coeffs: tuple = ()  # ((k, c), ...) for Laurent mode; empty for monomial
-    k_min: int = 0
 
     @classmethod
     def monomial(cls, mu, n=0) -> "Loop":
@@ -47,7 +46,7 @@ class Loop:
         pairs = tuple(
             (k_min + i, complex(c)) for i, c in enumerate(coeffs) if abs(c) > 0
         )
-        loop = cls(1.0, 0, pairs, k_min)
+        loop = cls(1.0, 0, pairs)
         if loop.min_modulus() <= NONVANISH_TOL:
             raise Uncertified("loop not certified nonvanishing on the grid")
         return loop
@@ -56,53 +55,46 @@ class Loop:
     def is_monomial(self) -> bool:
         return not self.coeffs
 
-    def samples(self, grid=GRID):
-        """Values on `grid` equispaced points; the default grid is computed once
-        per loop and returned read-only."""
-        return self._samples if grid == GRID else self._sample(grid)
-
     @cached_property
-    def _samples(self):
-        vals = self._sample(GRID)
+    def samples(self):
+        """Values on GRID equispaced points, computed once per loop, read-only."""
+        t = np.arange(GRID) / GRID
+        z = np.exp(2j * np.pi * t)
+        if self.is_monomial:
+            vals = self.mu * z**self.n
+        else:
+            vals = np.zeros(GRID, dtype=complex)
+            for k, c in self.coeffs:
+                vals += c * z**k
         vals.flags.writeable = False
         return vals
 
     @cached_property
     def _winding(self) -> int:
-        return _winding_of(self._samples)
+        vals = self.samples
+        if np.min(np.abs(vals)) <= NONVANISH_TOL:
+            raise Uncertified("loop not certified nonvanishing")
+        ratios = np.roll(vals, -1) / vals
+        total = np.sum(np.angle(ratios))
+        return int(round(total / (2 * np.pi)))
 
-    def _sample(self, grid):
-        t = np.arange(grid) / grid
-        z = np.exp(2j * np.pi * t)
-        if self.is_monomial:
-            return self.mu * z**self.n
-        vals = np.zeros(grid, dtype=complex)
-        for k, c in self.coeffs:
-            vals += c * z**k
-        return vals
-
-    def min_modulus(self, grid=GRID) -> float:
-        return float(np.min(np.abs(self.samples(grid))))
+    def min_modulus(self) -> float:
+        return float(np.min(np.abs(self.samples)))
 
     def at(self, z) -> complex:
         if self.is_monomial:
             return self.mu * z**self.n
         return sum(c * z**k for k, c in self.coeffs)
 
-    def inverse_samples(self, grid=GRID):
-        return 1.0 / self.samples(grid)
+    def inverse_samples(self):
+        return 1.0 / self.samples
 
     def __mul__(self, other: "Loop") -> "Loop":
         if self.is_monomial and other.is_monomial:
             return Loop.monomial(self.mu * other.mu, self.n + other.n)
-        a, b = self.samples(), other.samples()
+        a, b = self.samples, other.samples
         coeffs = np.fft.fft(a * b) / len(a)
         return _loop_from_fft(coeffs)
-
-    def __str__(self):
-        if self.is_monomial:
-            return f"({self.mu.real:g},{self.mu.imag:g})*z^{self.n}"
-        return ":".join(f"({c.real:g},{c.imag:g})" for _, c in self.coeffs) + f"@{self.coeffs[0][0]}"
 
 
 def _loop_from_fft(coeffs, tol=1e-12):
@@ -114,27 +106,19 @@ def _loop_from_fft(coeffs, tol=1e-12):
     return Loop.laurent(seq, int(ks.min()))
 
 
-def winding_number(u: Loop, grid=GRID) -> int:
+def winding_number(u: Loop) -> int:
     """Total argument increment over one turn, as an integer."""
     if u.is_monomial:
         return u.n
-    return u._winding if grid == GRID else _winding_of(u.samples(grid))
+    return u._winding
 
 
-def _winding_of(vals) -> int:
-    if np.min(np.abs(vals)) <= NONVANISH_TOL:
-        raise Uncertified("loop not certified nonvanishing")
-    ratios = np.roll(vals, -1) / vals
-    total = np.sum(np.angle(ratios))
-    return int(round(total / (2 * np.pi)))
-
-
-def symbol_coeffs(u: Loop, v: Loop, band: int, grid=GRID):
+def symbol_coeffs(u: Loop, v: Loop, band: int):
     """Fourier coefficients of v^{-1} u on [-band, band] with tail report."""
-    vals = u.samples(grid) * v.inverse_samples(grid)
-    c = np.fft.fft(vals) / grid
-    out = {k: complex(c[k % grid]) for k in range(-band, band + 1)}
-    tail = np.max(np.abs(c[band + 1 : grid - band]), initial=0.0)
+    vals = u.samples * v.inverse_samples()
+    c = np.fft.fft(vals) / GRID
+    out = {k: complex(c[k % GRID]) for k in range(-band, band + 1)}
+    tail = np.max(np.abs(c[band + 1 : GRID - band]), initial=0.0)
     return out, float(tail)
 
 

@@ -17,7 +17,7 @@ from .errors import DetlineError, ParseError, Unstable
 from .torus import Monomial2
 from .verify import run_suite
 
-_SCALAR = r"\(\s*(-?[\d.eE+]+)\s*,\s*(-?[\d.eE+-]+)\s*\)"
+_SCALAR = r"\(\s*([\d.eE+-]+)\s*,\s*([\d.eE+-]+)\s*\)"
 
 
 def _num(z: complex) -> dict:
@@ -31,29 +31,23 @@ def _dump(payload) -> None:
 
 def parse_scalar(text: str) -> complex:
     m = re.fullmatch(_SCALAR, text.strip())
-    if m:
-        return complex(float(m.group(1)), float(m.group(2)))
     try:
-        return complex(float(text))
+        return complex(float(m.group(1)), float(m.group(2))) if m else complex(float(text))
     except ValueError as exc:
         raise ParseError(f"bad scalar {text!r}") from exc
 
 
-def parse_monomial2(text: str) -> Monomial2:
-    """Parse "(re,im)*z1^a*z2^b"; the scalar and either factor may be absent."""
+def _parse_factors(text: str, names) -> tuple:
+    """Parse a product "(re,im)*x^k*..." into its scalar and the exponent of
+    each variable in `names`; the scalar and any variable may be absent."""
     parts = [p.strip() for p in text.strip().split("*") if p.strip()]
     if not parts:
         raise ParseError("empty monomial")
-    mu, a, b = 1.0 + 0.0j, 0, 0
-    seen_scalar = False
+    mu, powers, seen_scalar = 1.0 + 0.0j, dict.fromkeys(names, 0), False
     for p in parts:
-        m = re.fullmatch(r"z1(?:\^(-?\d+))?", p)
-        if m:
-            a += int(m.group(1) or 1)
-            continue
-        m = re.fullmatch(r"z2(?:\^(-?\d+))?", p)
-        if m:
-            b += int(m.group(1) or 1)
+        m = re.fullmatch(r"(\w+)(?:\^(-?\d+))?", p)
+        if m and m.group(1) in powers:
+            powers[m.group(1)] += int(m.group(2) or 1)
             continue
         if seen_scalar:
             raise ParseError(f"unexpected factor {p!r} in {text!r}")
@@ -61,7 +55,12 @@ def parse_monomial2(text: str) -> Monomial2:
         seen_scalar = True
     if mu == 0:
         raise ParseError("monomial scalar must be nonzero")
-    return Monomial2(mu, a, b)
+    return (mu, *powers.values())
+
+
+def parse_monomial2(text: str) -> Monomial2:
+    """Parse "(re,im)*z1^a*z2^b"; the scalar and either factor may be absent."""
+    return Monomial2(*_parse_factors(text, ("z1", "z2")))
 
 
 def format_monomial2(m: Monomial2) -> str:
@@ -73,7 +72,10 @@ def parse_loop(text: str) -> ci.Loop:
     text = text.strip()
     if "@" in text or ":" in text:
         body, _, kmin = text.partition("@")
-        k_min = int(kmin) if kmin else 0
+        try:
+            k_min = int(kmin) if kmin else 0
+        except ValueError as exc:
+            raise ParseError(f"bad lowest exponent {kmin!r}") from exc
         coeffs = [parse_scalar(c) for c in body.split(":") if c.strip()]
         if not coeffs:
             raise ParseError("empty coefficient list")
@@ -81,17 +83,7 @@ def parse_loop(text: str) -> ci.Loop:
             return ci.Loop.laurent(coeffs, k_min)
         except DetlineError as exc:
             raise ParseError(str(exc)) from exc
-    parts = [p.strip() for p in text.split("*") if p.strip()]
-    mu, n = 1.0 + 0.0j, 0
-    for p in parts:
-        m = re.fullmatch(r"z(?:\^(-?\d+))?", p)
-        if m:
-            n += int(m.group(1) or 1)
-        else:
-            mu = parse_scalar(p)
-    if mu == 0:
-        raise ParseError("loop scalar must be nonzero")
-    return ci.Loop.monomial(mu, n)
+    return ci.Loop.monomial(*_parse_factors(text, ("z",)))
 
 
 def cmd_cocycle3(args) -> int:

@@ -100,11 +100,6 @@ def class_representative(z: complex) -> complex:
     return z
 
 
-def class_equal(a: complex, b: complex, rel=1e-9) -> bool:
-    ra, rb = class_representative(a), class_representative(b)
-    return abs(ra - rb) <= rel * max(abs(ra), abs(rb), 1e-300)
-
-
 def verify_relation(
     g: Monomial2, h: Monomial2, k: Monomial2, l: Monomial2, ctx=None
 ) -> dict:

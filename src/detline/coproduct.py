@@ -183,11 +183,6 @@ class Context:
         return self.phi(lam, nu, q) * self.triv((lam, mu, nu), q, COMPOSE_DAGGER)
 
 
-def duality_phi(ctx: Context, e: RingIdempotent, lam: SigmaIndex, mu: SigmaIndex) -> complex:
-    """Frame scalar of the duality element for the idempotent e."""
-    return ctx.phi(lam, mu, e)
-
-
 def duality_psi(ctx: Context, e: RingIdempotent, lam: SigmaIndex, mu: SigmaIndex) -> complex:
     """Frame scalar of the dual trivialisation for the idempotent e."""
     return ctx.psi(lam, mu, e)

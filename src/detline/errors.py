@@ -17,10 +17,6 @@ class NotFredholm(DetlineError):
     """An asymptotic fiber matrix is singular or non-square."""
 
 
-class NotDeterminantClass(DetlineError):
-    """Operator is not identity-plus-finitely-supported in fiber form."""
-
-
 class NotFiniteRank(DetlineError):
     """Operator entries are not supported on finite boxes."""
 
@@ -39,10 +35,6 @@ class NotComplementary(DetlineError):
 
 class NotQuasiIso(DetlineError):
     """Induced kernel/cokernel maps are not invertible."""
-
-
-class NotInvertible(DetlineError):
-    """A fiber matrix (or whole operator) has no inverse."""
 
 
 class IdealViolation(DetlineError):

@@ -4,9 +4,10 @@ Operators here are block matrices between "slot spaces": ordered lists of
 slots, each carrying a sub-lattice support (a union of integer boxes).
 Every matrix entry is a finite sum of coefficient * box-indicator, so the
 operator is block-diagonal over lattice fibers, and its fiber is constant on
-each cell of the grid cut at its breakpoints.  All kernel/cokernel, index,
-determinant and trace-norm computations reduce to finite linear algebra once
-per bounded grid cell plus a certification of the unbounded cells.
+each cell of the grid cut at its breakpoints.  Kernels, cokernels, indices,
+trace norms and the exceptional fibers of a perturbation reduce to finite
+linear algebra once per bounded grid cell plus a certification of the
+unbounded cells.
 """
 
 from __future__ import annotations
@@ -20,27 +21,15 @@ import numpy as np
 
 from . import _linalg
 from ._intervals import Box, BoxUnion, _breakpoints, _cell_rep, _cells, _hull
-from .errors import (
-    NotDeterminantClass,
-    NotFiniteRank,
-    NotFredholm,
-    NotInvertible,
-    ShapeMismatch,
-)
+from .errors import NotFiniteRank, NotFredholm, ShapeMismatch
 
 COEFF_TOL = 1e-12
 # |det| at or below which a fiber is singular: an unbounded cell's makes the
 # operator non-Fredholm, a bounded cell's is exceptional in a perturbation.
 SINGULAR_DET_TOL = 1e-10
-# Entrywise distance to the identity allowed on the unbounded cells of a
-# determinant-class operator; their determinants are taken to be 1.
-IDENTITY_TOL = 1e-10
 # Two fibers are equal when their entries differ by at most this times the
 # larger of 1 and the first one's largest entry: the roundoff of box sums.
 FIBER_EQ_TOL = 1e-12
-# |det| at or below which `inverse` refuses a fiber: entries are O(1), so
-# a smaller determinant would give inverse entries beyond float accuracy.
-INVERTIBLE_DET_TOL = 1e-12
 
 
 def pt_key(pt):
@@ -74,9 +63,6 @@ class SlotSpace:
 
     def __len__(self):
         return len(self.slots)
-
-    def __iter__(self):
-        return iter(self.slots)
 
     def active(self, pt):
         return [i for i, s in enumerate(self.slots) if s.support.contains(pt)]
@@ -405,10 +391,6 @@ class FiberedLatticeOp:
             )
         return self._pres
 
-    def kernel_cokernel(self):
-        pres = self.presentation()
-        return list(pres.ker), list(pres.coker)
-
     def index(self) -> int:
         return self.presentation().degree
 
@@ -538,23 +520,6 @@ class FiberedLatticeOp:
             b.is_finite() for pairs in self.entries.values() for _, b in pairs
         )
 
-    def fredholm_det(self) -> complex:
-        """Product over bounded grid cells of det(fiber)^|cell|."""
-        if not self.dom.compatible(self.cod):
-            raise NotDeterminantClass("domain and codomain differ")
-        for _, pt, [(mat, dom_a, cod_a)] in _walk([self], bounded=False):
-            if dom_a != cod_a or (
-                mat.size and np.max(np.abs(mat - np.eye(len(dom_a)))) > IDENTITY_TOL
-            ):
-                raise NotDeterminantClass(f"asymptotic fiber at {pt} is not identity")
-        val = 1.0 + 0.0j
-        for box, pt, [(mat, dom_a, cod_a)] in _walk([self], bounded=True):
-            if len(dom_a) != len(cod_a):
-                raise NotDeterminantClass(f"non-square fiber at {pt}")
-            if dom_a:
-                val *= _linalg.det(mat) ** _box_size(box)
-        return val
-
     def trace_norm(self) -> float:
         """Sum over bounded grid cells of |cell| times the fiber's singular values."""
         if not self.is_finite_box():
@@ -564,24 +529,6 @@ class FiberedLatticeOp:
             if mat.size:
                 total += _box_size(box) * float(np.sum(np.linalg.svd(mat, compute_uv=False)))
         return total
-
-    def inverse(self) -> "FiberedLatticeOp":
-        """Exact inverse of a fiberwise-invertible operator."""
-        entries = {}
-        walk = itertools.chain(_walk([self], bounded=True), _walk([self], bounded=False))
-        for cell, pt, [(mat, dom_a, cod_a)] in walk:
-            if len(dom_a) != len(cod_a):
-                raise NotInvertible(f"non-square fiber at {pt}")
-            if not dom_a:
-                continue
-            if abs(_linalg.det(mat)) <= INVERTIBLE_DET_TOL:
-                raise NotInvertible(f"singular fiber at {pt}")
-            inv = np.linalg.inv(mat)
-            for r, j in enumerate(dom_a):
-                for cix, i in enumerate(cod_a):
-                    if abs(inv[r, cix]) > COEFF_TOL:
-                        entries.setdefault((j, i), []).append((inv[r, cix], cell))
-        return FiberedLatticeOp(self.cod, self.dom, entries)
 
     def __repr__(self):
         return f"FiberedLatticeOp({len(self.cod)}x{len(self.dom)}, dim={self.dim})"

@@ -1,4 +1,4 @@
-"""Bipolarized data on Z^2: monomials, quadrant projections and F/Omega ops.
+"""Bipolarized data on Z^2: monomials, quadrant indicators and F/Omega ops.
 
 Group elements are invertible monomials mu * z1^a * z2^b acting on
 l2(Z^2) by multiplication; the two polarizing projections are the
@@ -32,15 +32,9 @@ class Monomial2:
     def __mul__(self, other: "Monomial2") -> "Monomial2":
         return Monomial2(self.mu * other.mu, self.a + other.a, self.b + other.b)
 
-    def inverse(self) -> "Monomial2":
-        return Monomial2(1.0 / self.mu, -self.a, -self.b)
-
     @classmethod
     def one(cls) -> "Monomial2":
         return cls(1.0, 0, 0)
-
-    def __str__(self):
-        return f"({self.mu.real:g},{self.mu.imag:g})*z1^{self.a}*z2^{self.b}"
 
 
 @dataclass(frozen=True)
@@ -92,15 +86,6 @@ def indicator_op(region: BoxUnion, coeff=1.0) -> FiberedLatticeOp:
     return FiberedLatticeOp(space, space, {(0, 0): _region_pairs(region, coeff)})
 
 
-def projection_P(g: Monomial2) -> FiberedLatticeOp:
-    """Conjugated half-plane projection P_g as a one-slot operator."""
-    return indicator_op(quadrant(a=g.a))
-
-
-def projection_Q(u: Monomial2) -> FiberedLatticeOp:
-    return indicator_op(quadrant(b=u.b))
-
-
 def sigma_apply(k: Monomial2, x: RingIdempotent) -> FiberedLatticeOp:
     """The canonical admissible representation on generators and the unit."""
     return indicator_op(sigma_region(SigmaIndex(k), x))
@@ -142,11 +127,6 @@ def _omega_entries(lams, pair, ps, A, B):
     return entries
 
 
-def Omega_op(lam: SigmaIndex, mu: SigmaIndex, p: RingIdempotent) -> FiberedLatticeOp:
-    """The involution-like operator on pi_lam(p)H + pi_mu(p)H."""
-    return big_Omega((lam, mu), (0, 1), (p, p))
-
-
 def F_op(
     lam: SigmaIndex, mu: SigmaIndex, p: RingIdempotent, q: RingIdempotent
 ) -> FiberedLatticeOp:
@@ -183,14 +163,6 @@ def big_Omega(lams, pair, ps) -> FiberedLatticeOp:
     return FiberedLatticeOp(dom, dom, _omega_entries(lams, pair, ps, A, B))
 
 
-def gamma_projection(n: int, m: int, t: int, s: int) -> FiberedLatticeOp:
-    """Finite-rank projection (P_{z1^m} - P_{z1^n})(Q_{z2^s} - Q_{z2^t}).
-
-    The box is empty, and the operator zero, unless m < n and s < t.
-    """
-    return indicator_op(BoxUnion(2, [Box(((m, n), (s, t)))]))
-
-
 def commutator_trace_norm(n: int, m: int) -> float:
     """Trace norm of (P - P_{z1^n})(Q - Q_{z2^m})."""
     p_diff = indicator_op(
@@ -200,21 +172,6 @@ def commutator_trace_norm(n: int, m: int) -> float:
         quadrant(b=min(0, m)).subtract(quadrant(b=max(0, m))), 1.0 if m >= 0 else -1.0
     )
     return p_diff.compose(q_diff).trace_norm()
-
-
-def bipolar_verify(g: Monomial2, h: Monomial2, u: Monomial2, v: Monomial2) -> dict:
-    """Trace-class checks for the conjugated projection differences."""
-    Pg, Ph = projection_P(g), projection_P(h)
-    Qu, Qv = projection_Q(u), projection_Q(v)
-    comm = Pg.compose(Qu).sub(Qu.compose(Pg))
-    prod = Pg.sub(Ph).compose(Qu.sub(Qv))
-    report = {
-        "commutator_finite": comm.is_finite_box(),
-        "difference_finite": prod.is_finite_box(),
-        "commutator_trace_norm": comm.trace_norm(),
-        "difference_trace_norm": prod.trace_norm(),
-    }
-    return report
 
 
 def assumption_check(triples) -> dict:

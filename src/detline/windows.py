@@ -107,10 +107,6 @@ class DenseOp:
             )
         return self._pres
 
-    def kernel_cokernel(self):
-        pres = self.presentation()
-        return list(pres.ker), list(pres.coker)
-
     def index(self) -> int:
         return self.presentation().degree
 

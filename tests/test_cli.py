@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from detline import circle as ci
-from detline.cli import main, parse_loop, parse_monomial2
+from detline.cli import main, parse_loop, parse_monomial2, parse_scalar
 from detline.errors import ParseError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -65,6 +65,30 @@ def test_cocycle3_command(capsys):
 def test_parse_error_exit_code(capsys):
     code, _ = run(capsys, "cocycle3", "junk", "(1,0)", "(1,0)")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tame", "(2,0)*(3,0)*z", "(2,0)"], "unexpected factor '(3,0)'"),
+        (["tame", "", "(2,0)"], "empty monomial"),
+        (["pair", "(2,0)*(3,0)*z1", "z2", "(1,1)"], "unexpected factor '(3,0)'"),
+        (["pair", "", "z2", "(1,1)"], "empty monomial"),
+        (["tame", "(1,0):(3,0)@x", "z"], "bad lowest exponent 'x'"),
+    ],
+    ids=["tame-two-scalars", "tame-empty", "pair-two-scalars", "pair-empty", "tame-bad-kmin"],
+)
+def test_malformed_loops_and_monomials_exit_2(capsys, argv, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_scalar_parts_take_signed_exponents(capsys):
+    assert parse_scalar("(1e-3,-2.5E-1)") == complex(0.001, -0.25)
+    code, out = run(capsys, "pair", "(1e-3,0)*z1", "z2", "(1,1)")
+    assert code == 0 and out == run(capsys, "pair", "(0.001,0)*z1", "z2", "(1,1)")[1]
+    with pytest.raises(ParseError):
+        parse_scalar("(1-2,0)")
 
 
 def test_pair_command(capsys):

@@ -80,8 +80,6 @@ def test_class_representative():
     assert c3.class_representative(-2.0) == pytest.approx(2.0)
     assert c3.class_representative(2.0) == pytest.approx(2.0)
     assert c3.class_representative(-1j) == pytest.approx(1j)
-    assert c3.class_equal(-3.0, 3.0)
-    assert not c3.class_equal(3.0, 2.0)
     with pytest.raises(ValueError):
         c3.class_representative(0.0)
 
@@ -89,7 +87,8 @@ def test_class_representative():
 @pytest.mark.parametrize("lam", [2.0, -3.0, 1 + 1j])
 def test_pair_homology(lam, ctx):
     cyc = c3.HomologyCycle3.alternating(Z1, Z2, mono(lam, 0, 0))
-    assert c3.class_equal(c3.pair_homology(cyc, ctx), lam)
+    rep = c3.class_representative
+    assert rep(c3.pair_homology(cyc, ctx)) == pytest.approx(rep(lam), rel=1e-9)
 
 
 def test_pair_homology_trivial_cycle(ctx):
@@ -114,6 +113,7 @@ def test_triple_symbol(ctx):
     assert c3.triple_symbol(f, g, h) == pytest.approx(2 / 375)
     assert pairing(f, g, h) == pytest.approx(-2 / 375)
     rng = np.random.default_rng(31)
+    rep = c3.class_representative
     for _ in range(6):
         f, g, h = (random_monomial(rng, 3, -3) for _ in range(3))
-        assert c3.class_equal(pairing(f, g, h), c3.triple_symbol(f, g, h))
+        assert rep(pairing(f, g, h)) == pytest.approx(rep(c3.triple_symbol(f, g, h)), rel=1e-9)
