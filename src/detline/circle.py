@@ -46,6 +46,8 @@ class Loop:
         pairs = tuple(
             (k_min + i, complex(c)) for i, c in enumerate(coeffs) if abs(c) > 0
         )
+        if not pairs:
+            raise Uncertified("the zero loop is not invertible")
         loop = cls(1.0, 0, pairs)
         if loop.min_modulus() <= NONVANISH_TOL:
             raise Uncertified("loop not certified nonvanishing on the grid")
@@ -314,8 +316,10 @@ def cres_cocycle(g: Loop, h: Loop, window_n: int = 64, certify: bool = True) -> 
 
 
 def steinberg_pairing(u: Loop, v: Loop, window_n: int = 64, certify: bool = True) -> complex:
-    """Antisymmetrised cocycle ratio c(u,v) / c(v,u)."""
-    return cres_cocycle(u, v, window_n, certify) / cres_cocycle(v, u, window_n, certify)
+    """(-1)^{w(u) w(v)} c(u,v) / c(v,u): the lines are Z/2-graded by winding,
+    so swapping u and v carries the Koszul sign, and {u, u} = (-1)^{w(u)}."""
+    ratio = cres_cocycle(u, v, window_n, certify) / cres_cocycle(v, u, window_n, certify)
+    return -ratio if winding_number(u) * winding_number(v) % 2 else ratio
 
 
 def tame_symbol_formula(u: Loop, v: Loop, q_points: int = GRID) -> complex:

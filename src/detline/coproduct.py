@@ -5,14 +5,14 @@ determinant lines (one for the idempotent on each side of a base point).
 Elements are stored as a single coefficient relative to the canonical
 frames of the two lines; the composition, coproduct, change-of-base-point
 and group-action operations all reduce to scalar bookkeeping through the
-torsion / perturbation / stabilisation calculus.
+torsion and perturbation maps; the stabilisations between an F block and
+its padded step are 1 on canonical frames (see `Context._chain`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from operator import mul
 
 from . import fredlines
 from .errors import IdealViolation
@@ -121,25 +121,20 @@ class Context:
     # -- trivialisations of chains of F blocks ---------------------------------
 
     def _chain(self, lams, ps, schedule):
-        """Stabilised F steps of a transposition schedule, and their composite.
+        """Torsion and composite of the F steps of a transposition schedule.
 
         Slot k starts with the idempotent ps[k]; the idempotents of slots i
         and j swap after each transposition (i, j).  Step k is
-        big_F(lams, (i, j), ps), stabilised from F(lam_i, lam_j)(p_i, p_j).
-        Returns the factors (one stabilisation per step, then the torsion
-        of the chain) and the chain's composite.
+        big_F(lams, (i, j), ps): F(lam_i, lam_j)(p_i, p_j) in slots i < j
+        plus the identity on the other slots, which shares no row or column
+        with it.  So |F| -> |step|, like the extensions of `_extend`, is 1 on
+        canonical frames (`fredlines.stabilization`): steps stand in for F.
         """
-        ps = list(ps)
-        factors, steps = [], []
+        ps, steps = list(ps), []
         for i, j in schedule:
-            step = big_F(list(lams), (i, j), tuple(ps))
-            small = self.F(lams[i], lams[j], ps[i], ps[j])
-            factors.append(fredlines.stabilization(small, step, (i, j), (i, j)))
-            steps.append(step)
+            steps.append(big_F(list(lams), (i, j), tuple(ps)))
             ps[i], ps[j] = ps[j], ps[i]
-        chain, comp = fredlines.torsion_chain(steps)
-        factors.append(chain)
-        return factors, comp
+        return fredlines.torsion_chain(steps)
 
     def triv(self, lams, e, schedule) -> complex:
         """Scalar trivialising |F^(n)| (x) ... (x) |F^(1)| against the Omega chain.
@@ -161,14 +156,12 @@ class Context:
             p0s = tuple(self.p0 for _ in lams)
             ps = list(p0s)
             ps[schedule[0][0]] = e
-            factors, comp = self._chain(lams, ps, schedule)
+            chain, comp = self._chain(lams, ps, schedule)
             diag = [(k, k) for k in range(len(lams))]
             big = self._extend(comp, lams, diag)
-            factors.append(fredlines.stabilization(comp, big))
             omegas = [big_Omega(list(lams), pair, p0s) for pair in reversed(schedule)]
             target = self._extend(reduce(FiberedLatticeOp.compose, omegas), lams, diag)
-            factors.append(fredlines.perturbation(big, target))
-            return reduce(mul, factors)
+            return chain * fredlines.perturbation(big, target)
 
         return self._get(key, build)
 
@@ -310,10 +303,8 @@ def change_base(x: HomElement, p0_new: RingIdempotent) -> HomElement:
 
     def half(ctx):
         lams = (lam, mu, mu)
-        factors, comp = ctx._chain(lams, (p, q, ctx.p0), ((0, 2), (0, 1)))
-        big = ctx._extend(comp, lams, [(1, 2)])
-        factors.append(fredlines.stabilization(comp, big))
-        return reduce(mul, factors), big
+        chain, comp = ctx._chain(lams, (p, q, ctx.p0), ((0, 2), (0, 1)))
+        return chain, ctx._extend(comp, lams, [(1, 2)])
 
     s_old, big_old = half(x.ctx)
     s_new, big_new = half(ctx_new)

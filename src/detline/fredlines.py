@@ -97,12 +97,13 @@ def quasi_map(phi, psi, T1, T2) -> complex:
     return det_a / det_b
 
 
-def stabilization(T, T_big, dom_positions=None, cod_positions=None) -> complex:
-    """Stabilisation |T| -> |T + Gamma| via the slotwise inclusions."""
-    if dom_positions is None:
-        dom_positions = list(range(len(T.dom)))
-    if cod_positions is None:
-        cod_positions = list(range(len(T.cod)))
+def stabilization(T, T_big, dom_positions, cod_positions) -> complex:
+    """Stabilisation |T| -> |T + Gamma|, T's slot k going to slot positions[k].
+
+    Exactly 1 when Gamma shares no row or column with T and the positions
+    keep T's slot order: Gamma's rows and columns are then all pivots, so
+    T_big's canonical kernel basis and cokernel representatives are T's.
+    """
     try:
         phi = FiberedLatticeOp.inclusion(T.dom, T_big.dom, dom_positions)
         psi = FiberedLatticeOp.inclusion(T.cod, T_big.cod, cod_positions)

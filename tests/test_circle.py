@@ -197,6 +197,23 @@ def test_pairing_bimultiplicative_and_antisymmetric():
     assert ci.steinberg_pairing(c1, c2) == pytest.approx(1.0)
 
 
+def _agrees_with_tame_symbol(u, v):
+    want = ci.tame_symbol_formula(u, v) ** ci.convention_exponent()
+    return abs(ci.steinberg_pairing(u, v) - want) <= ci.PAIRING_REL_TOL * abs(want)
+
+
+def test_pairing_carries_the_koszul_sign_of_odd_windings():
+    # the lines are Z/2-graded by winding, so {u, u} = (-1)^{w(u)}: the
+    # plain ratio c(u,v)/c(v,u) misses the sign when w(u) w(v) is odd
+    rng = np.random.default_rng(19)
+    for m in range(-3, 4):
+        for n in range(-3, 4):
+            mu, nu = (complex(*rng.uniform(0.5, 2.0, 2)) for _ in range(2))
+            assert _agrees_with_tame_symbol(ci.Loop.monomial(mu, m), ci.Loop.monomial(nu, n))
+    assert ci.steinberg_pairing(Z, Z) == -1.0
+    assert _agrees_with_tame_symbol(Z, ci.Loop.laurent([0.3, 2.0], 0))
+
+
 def test_cohomologous_stability():
     # an alternative base object changes the cochain by the coboundary of
     # the connecting one-cochain

@@ -75,8 +75,16 @@ def test_parse_error_exit_code(capsys):
         (["pair", "(2,0)*(3,0)*z1", "z2", "(1,1)"], "unexpected factor '(3,0)'"),
         (["pair", "", "z2", "(1,1)"], "empty monomial"),
         (["tame", "(1,0):(3,0)@x", "z"], "bad lowest exponent 'x'"),
+        (["tame", "(0,0):(0,0)@0", "z"], "the zero loop is not invertible"),
     ],
-    ids=["tame-two-scalars", "tame-empty", "pair-two-scalars", "pair-empty", "tame-bad-kmin"],
+    ids=[
+        "tame-two-scalars",
+        "tame-empty",
+        "pair-two-scalars",
+        "pair-empty",
+        "tame-bad-kmin",
+        "tame-zero-loop",
+    ],
 )
 def test_malformed_loops_and_monomials_exit_2(capsys, argv, message):
     assert main(argv) == 2

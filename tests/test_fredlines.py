@@ -296,7 +296,7 @@ def test_quasi_map_mismatched_slot_spaces_raise():
     # a big operator whose slots do not contain the small one's
     small_big = op_between(3, 3)
     with pytest.raises(NotComplementary):
-        fredlines.stabilization(T, small_big)
+        fredlines.stabilization(T, small_big, (0,), (0,))
     with pytest.raises(ShapeMismatch):
         T.finite_difference(op_between(1, 1))
     with pytest.raises(ShapeMismatch):
@@ -354,9 +354,9 @@ def test_perturbation_rejects_difference_unbounded_along_one_axis():
     assert fredlines.perturbation(one, square) == pytest.approx(1.5 ** 4)
 
 
-def _triv_steps(schedule):
-    """The F blocks and big_F steps that Context.triv builds for a schedule."""
-    from detline.torus import Monomial2, RingIdempotent, SigmaIndex, F_op, big_F
+def _triv_setup(schedule):
+    """Indices, base point and starting idempotents of a Context.triv call."""
+    from detline.torus import Monomial2, RingIdempotent, SigmaIndex
 
     q = RingIdempotent.generator
     n = max(max(pair) for pair in schedule) + 1
@@ -364,6 +364,15 @@ def _triv_steps(schedule):
     p0, e = q(Monomial2(1.0, 0, 0)), q(Monomial2(1.0, 2, 3))
     ps = [p0] * n
     ps[schedule[0][0]] = e
+    return lams, p0, ps
+
+
+def _triv_steps(schedule):
+    """The big_F steps of Context.triv for a schedule, each with the 2-slot
+    F block it stabilises and the slot pair the block sits in."""
+    from detline.torus import F_op, big_F
+
+    lams, _, ps = _triv_setup(schedule)
     out = []
     for i, j in schedule:
         out.append((F_op(lams[i], lams[j], ps[i], ps[j]), big_F(lams, (i, j), tuple(ps)), (i, j)))
@@ -417,6 +426,50 @@ def test_stabilization_constructs_only_the_inclusions(monkeypatch):
         before = len(built)
         assert fredlines.stabilization(small, big, pair, pair) == scalar
         assert len(built) - before == 2
+
+
+def test_stabilizations_the_pipeline_skips_are_exactly_one():
+    # Context.triv and change_base take each big_F step and each identity
+    # extension for the block it stabilises: Gamma is decoupled from the
+    # block and the slot order is kept, so the line map is 1, not roughly 1
+    from detline.coproduct import COMPOSE, COMPOSE_DAGGER, TERNARY, TERNARY_DAGGER, Context
+    from detline.torus import Monomial2, RingIdempotent, SigmaIndex
+
+    one = 1.0 + 0.0j
+    for schedule in (COMPOSE, COMPOSE_DAGGER, TERNARY, TERNARY_DAGGER):
+        for small, big, pair in _triv_steps(schedule):
+            assert fredlines.stabilization(small, big, pair, pair) == one
+        lams, p0, ps = _triv_setup(schedule)
+        ctx = Context(p0)
+        _, comp = ctx._chain(lams, ps, schedule)
+        big = ctx._extend(comp, lams, [(k, k) for k in range(len(lams))])
+        slots = list(range(len(lams)))
+        assert fredlines.stabilization(comp, big, slots, slots) == one
+    # the half of change_base, on both sides of a move between base points
+    q = RingIdempotent.generator
+    lam, mu = SigmaIndex(Monomial2(1.2, 1, 1)), SigmaIndex(Monomial2(2.0, 3, 0))
+    p, r = q(Monomial2(1.0, 5, 2)), q(Monomial2(1.0, 2, 1))
+    for base in (q(Monomial2(1.0, 4, 2)), q(Monomial2.one())):
+        ctx = Context(base)
+        lams = (lam, mu, mu)
+        _, comp = ctx._chain(lams, (p, r, base), ((0, 2), (0, 1)))
+        big = ctx._extend(comp, lams, [(1, 2)])
+        assert fredlines.stabilization(comp, big, [0, 1, 2], [0, 1, 2]) == one
+
+
+def test_stabilization_with_swapped_slots_is_a_sign():
+    # two index-1 slots, each with a one-vector kernel: including them in
+    # swapped order swaps the kernel frame, so the map is -1
+    dom = SlotSpace([("a", half(0)), ("b", half(0))])
+    cod = SlotSpace([("a", half(1)), ("b", half(1))])
+    ents = {(k, k): [(1.0, Box(((1, None),)))] for k in (0, 1)}
+    T = FiberedLatticeOp(dom, cod, ents)
+    assert T.index() == 2
+    big_dom = SlotSpace([*((s.name, s.support) for s in dom.slots), ("g", SEG)])
+    big_cod = SlotSpace([*((s.name, s.support) for s in cod.slots), ("g", SEG)])
+    big = FiberedLatticeOp(big_dom, big_cod, {**ents, (2, 2): [(2.0, Box(((-5, -3),)))]})
+    assert fredlines.stabilization(T, big, (0, 1), (0, 1)) == 1.0
+    assert fredlines.stabilization(T, big, (1, 0), (1, 0)) == -1.0
 
 
 def test_torsion_chain_composes_once_per_step(monkeypatch):
