@@ -5,6 +5,9 @@ projections become half-line indicators).  General nonvanishing Laurent
 loops run through windowed Toeplitz compressions in the translation
 gauge, certified by re-running at a larger window.  Both modes share one
 morphism calculus; only the factory that builds a morphism's operator differs.
+
+A Laurent loop is its roots, c z^w prod(1 - a/z) prod(1 - z/b) with |a| < 1 < |b|:
+they certify nonvanishing and give the winding w and the tame symbol in closed form.
 """
 
 from __future__ import annotations
@@ -16,14 +19,17 @@ import numpy as np
 
 from . import fredlines
 from ._intervals import Box, BoxUnion
-from .errors import BranchJump, Uncertified, Unstable
+from .errors import Uncertified, Unstable
 from .lattice import FiberedLatticeOp, SlotSpace
 from .windows import DenseOp, certify_stable
 
 GRID = 4096
+# A root this close to the circle counts as on it: such a loop would need
+# windows of order 1e6 for its window drift to fall below WINDOW_DRIFT_REL,
+# so the pipeline could never certify it anyway.
 NONVANISH_TOL = 1e-6
 # Relative agreement required between the Steinberg pairing and the
-# tame-symbol integral, by the convention probe and by `detline tame`.
+# tame symbol, by the convention probe and by `detline tame`.
 PAIRING_REL_TOL = 1e-6
 
 
@@ -49,13 +55,30 @@ class Loop:
         if not pairs:
             raise Uncertified("the zero loop is not invertible")
         loop = cls(1.0, 0, pairs)
-        if loop.min_modulus() <= NONVANISH_TOL:
-            raise Uncertified("loop not certified nonvanishing on the grid")
+        roots = np.concatenate(loop.factors[2:])
+        if np.any(np.abs(np.abs(roots) - 1.0) <= NONVANISH_TOL):
+            raise Uncertified("loop not certified nonvanishing: root on the circle")
         return loop
 
     @property
     def is_monomial(self) -> bool:
         return not self.coeffs
+
+    @cached_property
+    def factors(self):
+        """(c, w, inner, outer) with self = c z^w prod(1 - a/z) prod(1 - z/b)
+        over the roots a inside the unit disc and b outside it."""
+        if self.is_monomial:
+            return self.mu, self.n, np.zeros(0), np.zeros(0)
+        k_lo, k_hi = self.coeffs[0][0], self.coeffs[-1][0]
+        poly = np.zeros(k_hi - k_lo + 1, dtype=complex)
+        for k, c in self.coeffs:
+            poly[k_hi - k] = c
+        roots = np.roots(poly)
+        inside = np.abs(roots) < 1.0
+        outer = roots[~inside]
+        c = poly[0] * np.prod(-outer)
+        return complex(c), k_lo + int(np.count_nonzero(inside)), roots[inside], outer
 
     @cached_property
     def samples(self):
@@ -70,23 +93,6 @@ class Loop:
                 vals += c * z**k
         vals.flags.writeable = False
         return vals
-
-    @cached_property
-    def _winding(self) -> int:
-        vals = self.samples
-        if np.min(np.abs(vals)) <= NONVANISH_TOL:
-            raise Uncertified("loop not certified nonvanishing")
-        ratios = np.roll(vals, -1) / vals
-        total = np.sum(np.angle(ratios))
-        return int(round(total / (2 * np.pi)))
-
-    def min_modulus(self) -> float:
-        return float(np.min(np.abs(self.samples)))
-
-    def at(self, z) -> complex:
-        if self.is_monomial:
-            return self.mu * z**self.n
-        return sum(c * z**k for k, c in self.coeffs)
 
     def inverse_samples(self):
         return 1.0 / self.samples
@@ -109,10 +115,8 @@ def _loop_from_fft(coeffs, tol=1e-12):
 
 
 def winding_number(u: Loop) -> int:
-    """Total argument increment over one turn, as an integer."""
-    if u.is_monomial:
-        return u.n
-    return u._winding
+    """The winding number: the lowest exponent plus the roots inside the disc."""
+    return u.factors[1]
 
 
 def symbol_coeffs(u: Loop, v: Loop, band: int):
@@ -222,8 +226,7 @@ def base_change_cochain(g: Loop, base: int, twist=None) -> complex:
 class WindowContext:
     """Windowed Toeplitz compressions with chained rectangular windows."""
 
-    def __init__(self, n: int, band: int = 48):
-        self.n = n
+    def __init__(self, band: int = 48):
         self.band = band
         self._ops = {}
         self.tail = 0.0
@@ -269,10 +272,12 @@ def _win_alpha(ctx: WindowContext, u: Loop, v: Loop, dom_n: int) -> _Mor:
 
 
 def _cres_window(g: Loop, h: Loop, n: int) -> complex:
-    ctx = WindowContext(n)
+    ctx = WindowContext()
     op = ctx.toeplitz
     one = Loop.monomial(1.0, 0)
     gh = g * h
+    if min(n, n - winding_number(g), n - winding_number(gh)) < 0:
+        raise Uncertified(f"window {n} is smaller than a winding number")
     # chain 1 -> gh -> g -> 1 with matching windows
     a_gh = _win_alpha(ctx, one, gh, n)
     # Known defect: on winding-zero pairs every window is N x N and `_compose`
@@ -290,7 +295,7 @@ def m_uni(g: Loop, h: Loop, n: int) -> complex:
     sections carry `_cres_window`'s far-corner defect unless g, h are analytic."""
     if winding_number(g) or winding_number(h):
         raise Uncertified("the determinant formula needs index-zero loops")
-    ctx = WindowContext(n)
+    ctx = WindowContext()
     one = Loop.monomial(1.0, 0)
     Dg = ctx.completed(ctx.toeplitz(g, one, n))
     Dh = ctx.completed(ctx.toeplitz(h, one, n))
@@ -308,10 +313,12 @@ def cres_cocycle(g: Loop, h: Loop, window_n: int = 64, certify: bool = True) -> 
     """Group 2-cochain of the restricted linear category on two loops."""
     if g.is_monomial and h.is_monomial:
         return cres_cochain_base(g, h, 0)
-    val = _cres_window(g, h, window_n)
-    if certify:
-        val2 = _cres_window(g, h, window_n + 16)
-        certify_stable(val, val2)
+    try:
+        val = _cres_window(g, h, window_n)
+        if certify:
+            certify_stable(val, _cres_window(g, h, window_n + 16))
+    except np.linalg.LinAlgError as exc:
+        raise Unstable(f"window linear algebra failed: {exc}") from exc
     return val
 
 
@@ -322,32 +329,18 @@ def steinberg_pairing(u: Loop, v: Loop, window_n: int = 64, certify: bool = True
     return -ratio if winding_number(u) * winding_number(v) % 2 else ratio
 
 
-def tame_symbol_formula(u: Loop, v: Loop, q_points: int = GRID) -> complex:
-    """Contour-integral formula exp((1/2 pi i) int log(u) dv/v) v(1)^{-w(u)}."""
-    t = np.linspace(0.0, 1.0, q_points + 1)
-    z = np.exp(2j * np.pi * t)
-    uv = np.array([u.at(zz) for zz in z])
-    vv = np.array([v.at(zz) for zz in z])
-    if np.min(np.abs(uv)) <= NONVANISH_TOL or np.min(np.abs(vv)) <= NONVANISH_TOL:
-        raise Uncertified("loops must be nonvanishing")
-    logu = np.empty(len(t), dtype=complex)
-    logu[0] = np.log(uv[0])
-    for i in range(1, len(t)):
-        step = np.log(uv[i] / uv[i - 1])
-        if abs(step.imag) > np.pi / 2:
-            raise BranchJump("refine q_points")
-        logu[i] = logu[i - 1] + step
-    # v'(z) z'(t) / v(z)
-    if v.is_monomial:
-        dlogv = np.full(len(t), 2j * np.pi * v.n)
-    else:
-        dv = np.array(
-            [sum(k * c * zz ** (k - 1) for k, c in v.coeffs) for zz in z]
-        )
-        dlogv = dv * (2j * np.pi * z) / vv
-    integral = np.trapezoid(logu * dlogv, t)
-    w_u = winding_number(u)
-    return complex(np.exp(integral / (2j * np.pi)) * v.at(1.0) ** (-w_u))
+def _widom(a: Loop, b: Loop) -> complex:
+    """Widom's constant E(a, b) = prod over outer roots b_j of a and inner
+    roots a_i of b of (1 - a_i/b_j)^{-1}."""
+    return complex(1.0 / np.prod(1.0 - np.divide.outer(b.factors[2], a.factors[3])))
+
+
+def tame_symbol_formula(u: Loop, v: Loop) -> complex:
+    """The tame symbol {u, v}, equal to the paper's contour integral
+    exp((1/2 pi i) int log(u) dv/v) v(1)^{-w(u)}, in closed form from the
+    roots: (-1)^{mn} c_u^n c_v^{-m} E(v, u) / E(u, v) with m, n the windings."""
+    (cu, m), (cv, n) = u.factors[:2], v.factors[:2]
+    return complex((-1) ** (m * n) * cu**n * cv ** (-m) * _widom(v, u) / _widom(u, v))
 
 
 _CONVENTION = {}

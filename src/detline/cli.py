@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure/mismatch, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import re
 import sys
@@ -32,9 +33,12 @@ def _dump(payload) -> None:
 def parse_scalar(text: str) -> complex:
     m = re.fullmatch(_SCALAR, text.strip())
     try:
-        return complex(float(m.group(1)), float(m.group(2))) if m else complex(float(text))
+        z = complex(float(m.group(1)), float(m.group(2))) if m else complex(float(text))
     except ValueError as exc:
         raise ParseError(f"bad scalar {text!r}") from exc
+    if not cmath.isfinite(z):
+        raise ParseError(f"scalar {text!r} is not finite")
+    return z
 
 
 def _parse_factors(text: str, names) -> tuple:
@@ -133,9 +137,11 @@ def cmd_pair(args) -> int:
 def cmd_tame(args) -> int:
     u = parse_loop(args.u)
     v = parse_loop(args.v)
+    if args.numeric < 1:
+        raise ParseError(f"window size must be positive, got {args.numeric}")
     s = ci.convention_exponent(args.numeric)
     pairing = ci.steinberg_pairing(u, v, window_n=args.numeric)
-    integral = ci.tame_symbol_formula(u, v, q_points=args.qpoints)
+    integral = ci.tame_symbol_formula(u, v)
     _dump(
         {
             "determinant_pipeline": _num(pairing),
@@ -172,11 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("h")
     p.set_defaults(fn=cmd_pair)
 
-    p = sub.add_parser("tame", help="compare the pairing with the tame-symbol integral")
+    p = sub.add_parser("tame", help="compare the pairing with the tame symbol")
     p.add_argument("u")
     p.add_argument("v")
     p.add_argument("--numeric", type=int, default=64, metavar="N")
-    p.add_argument("--qpoints", type=int, default=4096, metavar="Q")
     p.set_defaults(fn=cmd_tame)
     return ap
 

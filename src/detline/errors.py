@@ -42,15 +42,11 @@ class IdealViolation(DetlineError):
 
 
 class Uncertified(DetlineError):
-    """A loop is missing its nonvanishing certificate."""
+    """A loop is not certified nonvanishing, or a window is below a winding."""
 
 
 class Unstable(DetlineError):
     """Window-stability certification failed."""
-
-
-class BranchJump(DetlineError):
-    """Logarithm branch tracking saw a jump larger than pi/2."""
 
 
 class ExponentRange(DetlineError):

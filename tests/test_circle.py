@@ -8,7 +8,7 @@ import pytest
 from detline import circle as ci
 from detline import fredlines
 from detline._intervals import Box, BoxUnion
-from detline.errors import BranchJump, Uncertified
+from detline.errors import Uncertified
 from detline.windows import certify_stable
 from detline.errors import Unstable
 from detline.lattice import FiberedLatticeOp, SlotSpace
@@ -135,7 +135,7 @@ def test_completion_sends_kernel_frame_to_cokernel_frame():
     pres = op.presentation()
     kmat = np.array([[k.get(l, 0.0) for k in pres.ker] for l in labels])
     rmat = np.array([[c.get(l, 0.0) for c in pres.coker] for l in labels])
-    full = ci.WindowContext(n).completed(op)
+    full = ci.WindowContext().completed(op)
     assert np.allclose(full @ kmat, rmat, atol=1e-9)
     # off the kernel the completion is the operator itself
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -168,11 +168,108 @@ def test_tame_symbol_examples():
     assert ci.tame_symbol_formula(Z, two_z) == pytest.approx(0.5, rel=1e-6)
 
 
-def test_branch_refinement():
-    fast = ci.Loop.monomial(1.0, 2)
-    with pytest.raises(BranchJump):
-        ci.tame_symbol_formula(fast, Z, q_points=4)
-    ci.tame_symbol_formula(fast, Z, q_points=512)
+def _values(loop, z):
+    if loop.is_monomial:
+        return loop.mu * z**loop.n
+    return sum(c * z**k for k, c in loop.coeffs)
+
+
+def _contour_tame(u, v, q):
+    """The paper's contour integral exp((1/2 pi i) int log(u) dv/v) v(1)^{-w(u)}
+    by the trapezoid rule on q + 1 points, log u tracked along the circle."""
+    t = np.linspace(0.0, 1.0, q + 1)
+    z = np.exp(2j * np.pi * t)
+    uv, vv = _values(u, z), _values(v, z)
+    steps = np.log(uv[1:] / uv[:-1])
+    assert np.max(np.abs(steps.imag)) <= np.pi / 2, "log u jumps a branch: refine q"
+    logu = np.log(uv[0]) + np.concatenate([[0.0], np.cumsum(steps)])
+    w_u = int(round((logu[-1] - logu[0]).imag / (2 * np.pi)))
+    if v.is_monomial:
+        dlogv = np.full(len(t), 2j * np.pi * v.n)
+    else:
+        dv = sum(k * c * z ** (k - 1) for k, c in v.coeffs)
+        dlogv = dv * (2j * np.pi * z) / vv
+    integral = np.trapezoid(logu * dlogv, t)
+    return complex(np.exp(integral / (2j * np.pi)) * _values(v, 1.0) ** (-w_u))
+
+
+def _loop_from_roots(rng, w, n_in, n_out):
+    """c z^w prod(1 - a/z) prod(1 - z/b) with seeded roots |a| < 0.8, |b| > 1.25."""
+    inner = rng.uniform(0.1, 0.8, n_in) * np.exp(2j * np.pi * rng.random(n_in))
+    outer = rng.uniform(1.25, 3.0, n_out) * np.exp(2j * np.pi * rng.random(n_out))
+    c = _random_scalar(rng)
+    # z^(w - n_in) prod(z - a) prod(1 - z/b), coefficients lowest power first
+    poly = np.polynomial.polynomial
+    coeffs = poly.polyfromroots(inner) if n_in else np.ones(1)
+    for b in outer:
+        coeffs = poly.polymul(coeffs, [1.0, -1.0 / b])
+    return ci.Loop.laurent(list(c * coeffs), w - n_in), (c, w, inner, outer)
+
+
+def test_factors_recover_the_roots():
+    rng = np.random.default_rng(61)
+    for w in (-2, -1, 0, 1, 2):
+        loop, (c, _, inner, outer) = _loop_from_roots(rng, w, 2, 2)
+        got_c, got_w, got_in, got_out = loop.factors
+        assert got_w == w == ci.winding_number(loop)
+        assert got_c == pytest.approx(c, rel=1e-12)
+        assert np.sort_complex(got_in) == pytest.approx(np.sort_complex(inner), rel=1e-12)
+        assert np.sort_complex(got_out) == pytest.approx(np.sort_complex(outer), rel=1e-12)
+    mono = ci.Loop.monomial(0.8 + 0.7j, -3)
+    assert mono.factors[:2] == (0.8 + 0.7j, -3)
+    assert ci.winding_number(mono) == -3
+
+
+def _seeded_tame_pairs():
+    # every sign combination of the two windings, seeded roots on both sides
+    rng = np.random.default_rng(23)
+    for wu in (-1, 0, 1):
+        for wv in (-1, 0, 1):
+            u, _ = _loop_from_roots(rng, wu, int(rng.integers(0, 3)), int(rng.integers(1, 3)))
+            v, _ = _loop_from_roots(rng, wv, int(rng.integers(0, 3)), int(rng.integers(1, 3)))
+            yield u, v
+
+
+def test_root_form_matches_the_contour_integral():
+    # where w(u) = 0 the integrand is periodic and the rule is exact to
+    # roundoff; otherwise it converges algebraically, and the gap to the
+    # root form is the rule's own error, falling as q grows
+    for u, v in _seeded_tame_pairs():
+        closed = ci.tame_symbol_formula(u, v)
+        if ci.winding_number(u) == 0:
+            assert abs(_contour_tame(u, v, 4096) - closed) <= 1e-12 * abs(closed)
+        else:
+            gaps = [abs(_contour_tame(u, v, 2**e) - closed) for e in (14, 15, 16, 17)]
+            assert all(b < a for a, b in zip(gaps, gaps[1:])), gaps
+            assert gaps[-1] <= 1e-6 * abs(closed)
+
+
+def test_root_form_bimultiplicative_and_graded():
+    pairs = list(_seeded_tame_pairs())
+    tame = ci.tame_symbol_formula
+    for (u, v), (u2, _) in zip(pairs, pairs[1:] + pairs[:1]):
+        assert tame(u * u2, v) == pytest.approx(tame(u, v) * tame(u2, v), rel=1e-10)
+        assert tame(v, u * u2) == pytest.approx(tame(v, u) * tame(v, u2), rel=1e-10)
+        assert tame(u, v) * tame(v, u) == pytest.approx(1.0, rel=1e-12)
+        assert tame(u, u) == pytest.approx((-1.0) ** ci.winding_number(u), rel=1e-12)
+
+
+@pytest.mark.parametrize("r", [0.5, 0.7, 0.8, 0.85, 0.9, 0.95])
+def test_root_form_exact_on_analytic_loops(r):
+    # {z, 1 - r z} = 1: v(0) = 1 and v has no zero in the disc; the contour
+    # rule at 4096 points is off by 3.9e-7 to 7.5e-5 over this table
+    v = ci.Loop.laurent([1.0, -r], 0)
+    assert abs(ci.tame_symbol_formula(Z, v) - 1.0) <= 4e-16
+
+
+def test_root_on_the_circle_is_uncertified():
+    # the zero sits between two points of the 4096-point sampling grid
+    with pytest.raises(Uncertified):
+        ci.Loop.laurent([1.0, -np.exp(1j * np.pi / 4096)], 0)
+    with pytest.raises(Uncertified):
+        ci.Loop.laurent([1.0, -1.0 - 1e-7], 0)
+    assert ci.winding_number(ci.Loop.laurent([1.0, -0.99999], 0)) == 0  # root 1.00001
+    assert ci.winding_number(ci.Loop.laurent([1.0, -1.00001], 0)) == 1  # root 0.99999
 
 
 def test_convention_probe_and_agreement():
@@ -250,7 +347,7 @@ def test_loop_samples_cached_bit_for_bit_and_read_only():
 def test_loop_equality_ignores_cached_samples():
     a = ci.Loop.laurent([0.3, 2.0, 0.5], -1)
     b = ci.Loop(1.0, 0, a.coeffs)
-    ci.winding_number(a)
+    a.samples
     assert "samples" in vars(a) and "samples" not in vars(b)
     assert a == b and hash(a) == hash(b)
     assert {a: 1}[b] == 1
@@ -281,7 +378,7 @@ def test_each_composition_composes_once(monkeypatch):
     from detline.lattice import FiberedLatticeOp
     from detline.windows import DenseOp
 
-    ctx = ci.WindowContext(64)
+    ctx = ci.WindowContext()
     v = ci.Loop.laurent([0.3, 2.0, 0.5], -1)
     x, y = ci._win_alpha(ctx, ONE, Z, 64), ci._win_alpha(ctx, Z, v, 63)
     composed = _count_calls(monkeypatch, DenseOp, "compose")
@@ -362,11 +459,15 @@ def test_loop_from_fft_matches_the_loop_reference():
     single[ci.GRID - 6] = 0.5 - 2j  # the lone coefficient of z^-6
     near_tol = np.array(spectra[0])
     near_tol[[7, 9, ci.GRID - 9]] = 2e-12, 1e-12, 5e-13  # kept, dropped at tol, dropped
-    nyquist = np.zeros(ci.GRID, dtype=complex)
-    nyquist[[0, ci.GRID // 2, ci.GRID // 2 + 1]] = 3.0, 0.5, 0.25j  # z^0, z^2048, z^-2047
-    for coeffs in spectra + [single, near_tol, nyquist]:
+    # both sides of the Nyquist split, one loop each: a loop spanning
+    # z^-2047..z^2048 would need a degree-4095 np.roots to certify
+    top, bottom = np.zeros(ci.GRID, dtype=complex), np.zeros(ci.GRID, dtype=complex)
+    top[ci.GRID // 2], bottom[ci.GRID // 2 + 1] = 0.5, 0.25j  # z^2048, z^-2047
+    for coeffs in spectra + [single, near_tol, top, bottom]:
         assert repr(ci._loop_from_fft(coeffs)) == repr(_ref_loop_from_fft(coeffs))
     assert ci._loop_from_fft(single).coeffs == ((-6, 0.5 - 2j),)
+    assert ci._loop_from_fft(top).coeffs == ((2048, 0.5),)
+    assert ci._loop_from_fft(bottom).coeffs == ((-2047, 0.25j),)
     u, v = ci.Loop.laurent([0.3, 2.0, 0.1], -1), ci.Loop.laurent([0.5, 3.0], -1)
     assert repr(u * v) == repr(_ref_loop_from_fft(np.fft.fft(u.samples * v.samples) / ci.GRID))
 
@@ -470,7 +571,7 @@ def _win_invert(ctx, x):
 
 
 def _ref_cres_window(g, h, n):
-    ctx = ci.WindowContext(n)
+    ctx = ci.WindowContext()
     one = ci.Loop.monomial(1.0, 0)
     gh = g * h
     a_gh = _win_alpha(ctx, one, gh, n)
@@ -528,7 +629,7 @@ def test_window_calculus_matches_the_per_mode_reference(n):
         pairs.append((_random_laurent(rng), _random_laurent(rng)))
     for g, h in pairs:
         assert repr(ci._cres_window(g, h, n)) == repr(_ref_cres_window(g, h, n))
-        ctx, ref_ctx = ci.WindowContext(n), ci.WindowContext(n)
+        ctx, ref_ctx = ci.WindowContext(), ci.WindowContext()
         x = ci._invert(ctx.toeplitz, ci._win_alpha(ctx, g, h, n))
         ref = _win_invert(ref_ctx, _win_alpha(ref_ctx, g, h, n))
         assert (x.u, x.v, x.dom_n, repr(x.coeff)) == (ref.u, ref.v, ref.dom_n, repr(ref.coeff))

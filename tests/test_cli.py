@@ -1,6 +1,7 @@
 """Command-line interface: parsing, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -111,7 +112,7 @@ def test_pair_command(capsys):
 
 
 def test_tame_command(capsys):
-    code, out = run(capsys, "tame", "z", "(2,0)", "--numeric", "48", "--qpoints", "2048")
+    code, out = run(capsys, "tame", "z", "(2,0)", "--numeric", "48")
     payload = json.loads(out)
     assert code == 0
     assert payload["convention_exponent"] in (-1, 1)
@@ -142,12 +143,43 @@ def test_tame_command_constant_close_to_one(capsys):
 def test_tame_command_exits_1_on_oracle_mismatch(capsys, monkeypatch):
     ci.convention_exponent(48)  # probe the orientation with the true integral
     formula = ci.tame_symbol_formula
-    monkeypatch.setattr(
-        ci, "tame_symbol_formula", lambda u, v, q_points: formula(u, v, q_points) * (1 + 1e-4)
-    )
-    code, out = run(capsys, "tame", "z", "(2,0)", "--numeric", "48", "--qpoints", "2048")
+    monkeypatch.setattr(ci, "tame_symbol_formula", lambda u, v: formula(u, v) * (1 + 1e-4))
+    code, out = run(capsys, "tame", "z", "(2,0)", "--numeric", "48")
     assert code == 1
     assert set(json.loads(out)) == {"determinant_pipeline", "integral_formula", "convention_exponent"}
+
+
+@pytest.mark.parametrize("r", ["0.7", "0.8", "0.9", "0.95"])
+def test_tame_command_accepts_analytic_loops(capsys, r):
+    # {z, 1 - r z} = 1; the contour rule the oracle once used failed these
+    code, out = run(capsys, "tame", "z", f"(1,0):(-{r},0)@0", "--numeric", "64")
+    assert code == 0
+    integral = json.loads(out)["integral_formula"]
+    assert abs(complex(integral["re"], integral["im"]) - 1.0) <= 4e-16
+
+
+_ON_CIRCLE = f"(1,0):({-math.cos(math.pi / 4096)!r},{-math.sin(math.pi / 4096)!r})@0"
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["tame", "z", "(2,0):(1,0)@0", "--numeric", "0"], 2, "window size must be positive"),
+        (["tame", "z", "(2,0):(1,0)@0", "--numeric", "-4"], 2, "window size must be positive"),
+        (["tame", "z^5", "(2,0):(1,0)@0", "--numeric", "3"], 2, "smaller than a winding number"),
+        (["tame", "(1e400,0)*z", "z"], 2, "not finite"),
+        (["tame", "nan", "z"], 2, "not finite"),
+        (["tame", "inf*z", "z"], 2, "not finite"),
+        (["cocycle3", "(1e400,0)*z1", "z2", "z1"], 2, "not finite"),
+        (["tame", "z", _ON_CIRCLE], 2, "root on the circle"),
+        (["tame", "z", "(-0.95,0):(1.9025,0):(-0.95,0)@-1", "--numeric", "64"], 3, "linear algebra failed"),
+    ],
+)
+def test_bad_input_ends_in_a_documented_exit_code(capsys, argv, code, message):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 @pytest.mark.parametrize(

@@ -117,3 +117,32 @@ def test_triple_symbol(ctx):
     for _ in range(6):
         f, g, h = (random_monomial(rng, 3, -3) for _ in range(3))
         assert rep(pairing(f, g, h)) == pytest.approx(rep(c3.triple_symbol(f, g, h)), rel=1e-9)
+
+
+# (a, b_g, b_h): the slice exponent and the two loop windings; the first
+# row is (z1, z2, z2) itself, with both scalars 1
+KM_SLICES = [(1, 1, 1), (1, 1, -1), (1, 0, 1), (-1, 1, 2), (2, 1, 1), (1, 2, -1), (-1, -1, 1),
+             (3, 1, 0), (1, -2, 1), (2, -1, -1), (-1, 2, 0), (1, 3, -1), (-2, 1, 1), (1, 1, 1)]
+
+
+@pytest.mark.parametrize("slice_var", ["z1", "z2"])
+def test_kac_moody_reduction(slice_var, ctx):
+    # on the slice z1^a the alternating pairing is the ungraded circle
+    # commutator to the power a: the Steinberg pairing times the Koszul sign
+    # (-1)^{a b_g b_h}; on z2^a the exponent is det(e2, e1) a = -a
+    from detline import circle as ci
+
+    rng = np.random.default_rng(47)
+    for i, (a, bg, bh) in enumerate(KM_SLICES):
+        mg, mh = (complex(rng.uniform(0.5, 2), rng.uniform(-1, 1)) for _ in "gh")
+        if i == 0:
+            mg = mh = 1.0
+        if slice_var == "z1":
+            f, g, h, e = mono(1, a, 0), mono(mg, 0, bg), mono(mh, 0, bh), a
+        else:
+            f, g, h, e = mono(1, 0, a), mono(mg, bg, 0), mono(mh, bh, 0), -a
+        got = c3.pair_homology(c3.HomologyCycle3.alternating(f, g, h), ctx)
+        pairing = ci.steinberg_pairing(ci.Loop.monomial(mg, bg), ci.Loop.monomial(mh, bh))
+        want = pairing**e * (-1) ** (a * bg * bh)
+        assert abs(got - want) <= 1e-12 * abs(want), (a, bg, bh)
+    assert ci.steinberg_pairing(ci.Loop.monomial(1.0, 1), ci.Loop.monomial(1.0, 1)) == -1.0

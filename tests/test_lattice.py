@@ -222,13 +222,13 @@ def test_window_compression_of_shift():
     one = ci.Loop.monomial(1.0, 0)
     z = ci.Loop.monomial(1.0, 1)
     for n in (8, 24):
-        op = ci.WindowContext(n).toeplitz(z, one, n)
+        op = ci.WindowContext().toeplitz(z, one, n)
         pres = op.presentation()
         assert len(pres.ker) == 0 and len(pres.coker) == 1
         assert op.index() == -1
     # index of the compression equals minus the winding number
     u = ci.Loop.laurent([2.0, 1.0], 0)
-    op = ci.WindowContext(24).toeplitz(u, one, 24)
+    op = ci.WindowContext().toeplitz(u, one, 24)
     assert op.index() == -ci.winding_number(u) == 0
 
 
@@ -236,7 +236,7 @@ def test_window_toeplitz_matches_entrywise_reference():
     # a rectangular compression wider than the symbol band
     u = ci.Loop.laurent([0.3, 2.0, 0.5], -1)
     v = ci.Loop.monomial(2.0, 3)
-    op = ci.WindowContext(20, band=6).toeplitz(u, v, 20)
+    op = ci.WindowContext(band=6).toeplitz(u, v, 20)
     coeffs, _ = ci.symbol_coeffs(u, v, 6)
     ref = np.zeros((17, 20), dtype=complex)
     for j in range(17):
@@ -267,7 +267,7 @@ def test_window_matches_fibered_on_monomials():
     # windowed kernel data for a monomial symbol equals the exact labels
     one = ci.Loop.monomial(1.0, 0)
     zk = ci.Loop.monomial(1.0, 2)
-    op = ci.WindowContext(16).toeplitz(one, zk, 16)  # symbol z^-2
+    op = ci.WindowContext().toeplitz(one, zk, 16)  # symbol z^-2
     pres = op.presentation()
     ker = pres.ker
     assert pres.coker == () and len(ker) == 2
