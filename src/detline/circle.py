@@ -101,17 +101,21 @@ class Loop:
         if self.is_monomial and other.is_monomial:
             return Loop.monomial(self.mu * other.mu, self.n + other.n)
         a, b = self.samples, other.samples
-        coeffs = np.fft.fft(a * b) / len(a)
-        return _loop_from_fft(coeffs)
+        prod = _loop_from_fft(np.fft.fft(a * b) / len(a))
+        # a product of certified loops is nonvanishing and its roots are theirs
+        (ca, wa, ia, oa), (cb, wb, ib, ob) = self.factors, other.factors
+        factors = ca * cb, wa + wb, np.concatenate([ia, ib]), np.concatenate([oa, ob])
+        object.__setattr__(prod, "factors", factors)
+        return prod
 
 
 def _loop_from_fft(coeffs, tol=1e-12):
-    """The Laurent loop of the FFT coefficients above tol (index i > n/2 is i - n)."""
+    """The Laurent loop of the FFT coefficients above tol (index i > n/2 is i - n),
+    built without the root certificate: its factors are computed only if read."""
     idx = np.flatnonzero(np.abs(coeffs) > tol)
     ks = np.where(idx <= len(coeffs) // 2, idx, idx - len(coeffs))
-    seq = np.zeros(ks.max() - ks.min() + 1, dtype=complex)
-    seq[ks - ks.min()] = coeffs[idx]
-    return Loop.laurent(seq, int(ks.min()))
+    order = np.argsort(ks)
+    return Loop(1.0, 0, tuple((int(k), complex(c)) for k, c in zip(ks[order], coeffs[idx][order])))
 
 
 def winding_number(u: Loop) -> int:

@@ -439,10 +439,7 @@ def _ref_loop_from_fft(coeffs, tol=1e-12):
         if abs(c) > tol:
             pairs.append((k, complex(c)))
     pairs.sort()
-    k_min = pairs[0][0]
-    dense = {k: c for k, c in pairs}
-    seq = [dense.get(k, 0.0) for k in range(k_min, pairs[-1][0] + 1)]
-    return ci.Loop.laurent(seq, k_min)
+    return ci.Loop(1.0, 0, tuple(pairs))
 
 
 def test_loop_from_fft_matches_the_loop_reference():
@@ -459,17 +456,25 @@ def test_loop_from_fft_matches_the_loop_reference():
     single[ci.GRID - 6] = 0.5 - 2j  # the lone coefficient of z^-6
     near_tol = np.array(spectra[0])
     near_tol[[7, 9, ci.GRID - 9]] = 2e-12, 1e-12, 5e-13  # kept, dropped at tol, dropped
-    # both sides of the Nyquist split, one loop each: a loop spanning
-    # z^-2047..z^2048 would need a degree-4095 np.roots to certify
-    top, bottom = np.zeros(ci.GRID, dtype=complex), np.zeros(ci.GRID, dtype=complex)
-    top[ci.GRID // 2], bottom[ci.GRID // 2 + 1] = 0.5, 0.25j  # z^2048, z^-2047
-    for coeffs in spectra + [single, near_tol, top, bottom]:
+    nyquist = np.zeros(ci.GRID, dtype=complex)
+    nyquist[[0, ci.GRID // 2, ci.GRID // 2 + 1]] = 3.0, 0.5, 0.25j  # z^0, z^2048, z^-2047
+    for coeffs in spectra + [single, near_tol, nyquist]:
         assert repr(ci._loop_from_fft(coeffs)) == repr(_ref_loop_from_fft(coeffs))
     assert ci._loop_from_fft(single).coeffs == ((-6, 0.5 - 2j),)
-    assert ci._loop_from_fft(top).coeffs == ((2048, 0.5),)
-    assert ci._loop_from_fft(bottom).coeffs == ((-2047, 0.25j),)
     u, v = ci.Loop.laurent([0.3, 2.0, 0.1], -1), ci.Loop.laurent([0.5, 3.0], -1)
     assert repr(u * v) == repr(_ref_loop_from_fft(np.fft.fft(u.samples * v.samples) / ci.GRID))
+
+
+def test_product_factors_are_the_operands_factors():
+    # the product carries its operands' roots; factoring it afresh agrees
+    for u, v in list(_seeded_tame_pairs()) + [(Z, _random_laurent(np.random.default_rng(3)))]:
+        prod = u * v
+        c, w, inner, outer = prod.factors
+        fresh = ci.Loop(1.0, 0, prod.coeffs).factors
+        assert w == fresh[1] == ci.winding_number(u) + ci.winding_number(v)
+        assert c == pytest.approx(fresh[0], rel=1e-10)
+        assert np.sort_complex(inner) == pytest.approx(np.sort_complex(fresh[2]), rel=1e-9)
+        assert np.sort_complex(outer) == pytest.approx(np.sort_complex(fresh[3]), rel=1e-9)
 
 
 # The two per-mode copies of the morphism calculus that the shared `_Mor`,
