@@ -1,20 +1,26 @@
 """Command-line front end: batch evaluation and JSON verification reports.
 
 Exit codes: 0 success, 1 verification failure/mismatch, 2 invalid input,
-3 numerical instability (window certification failed).
+3 numerical failure (window certification failed, or a value overflowed or
+underflowed the float range).  The CLI runs OpenBLAS on one thread, so its
+output does not depend on the machine's core count.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import ctypes
 import json
 import re
 import sys
+from pathlib import Path
+
+import numpy as np
 
 from . import circle as ci
 from . import cocycle3 as c3
-from .errors import DetlineError, ParseError, Unstable
+from .errors import DetlineError, OutOfRange, ParseError, Uncertified, Unstable
 from .torus import Monomial2
 from .verify import run_suite
 
@@ -22,6 +28,7 @@ _SCALAR = r"\(\s*([\d.eE+-]+)\s*,\s*([\d.eE+-]+)\s*\)"
 
 
 def _num(z: complex) -> dict:
+    z = OutOfRange.check(z, "value")
     return {"re": float(f"{z.real:.17g}"), "im": float(f"{z.imag:.17g}")}
 
 
@@ -85,7 +92,7 @@ def parse_loop(text: str) -> ci.Loop:
             raise ParseError("empty coefficient list")
         try:
             return ci.Loop.laurent(coeffs, k_min)
-        except DetlineError as exc:
+        except Uncertified as exc:
             raise ParseError(str(exc)) from exc
     return ci.Loop.monomial(*_parse_factors(text, ("z",)))
 
@@ -142,14 +149,13 @@ def cmd_tame(args) -> int:
     s = ci.convention_exponent(args.numeric)
     pairing = ci.steinberg_pairing(u, v, window_n=args.numeric)
     integral = ci.tame_symbol_formula(u, v)
-    _dump(
-        {
-            "determinant_pipeline": _num(pairing),
-            "integral_formula": _num(integral),
-            "convention_exponent": s,
-        }
-    )
-    want = integral**s
+    payload = {
+        "determinant_pipeline": _num(pairing),
+        "integral_formula": _num(integral),
+        "convention_exponent": s,
+    }
+    want = OutOfRange.check(integral**s, "tame symbol power")
+    _dump(payload)
     return 0 if abs(pairing - want) <= ci.PAIRING_REL_TOL * abs(want) else 1
 
 
@@ -186,8 +192,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _one_blas_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread: with more, its kernels sum
+    in another order and the window pipeline's last digits move (0.8 reads
+    0.7999999999999997 on one thread and 0.8000000000000073 on two)."""
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        set_threads = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_", None)
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _one_blas_thread()
     try:
         return args.fn(args)
     except ParseError as exc:
@@ -195,6 +213,9 @@ def main(argv=None) -> int:
         return 2
     except Unstable as exc:
         print(f"window instability: {exc}", file=sys.stderr)
+        return 3
+    except (OutOfRange, ArithmeticError) as exc:
+        print(f"numerical overflow: {exc}", file=sys.stderr)
         return 3
     except DetlineError as exc:
         print(f"error: {exc}", file=sys.stderr)

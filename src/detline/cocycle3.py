@@ -105,7 +105,8 @@ def verify_relation(
 ) -> dict:
     """Twisted 3-cocycle relation with the explicit graded sign."""
     ctx = ctx or _context()
-    sign = (-1.0) ** ((beta_degree(g, h, ctx) * beta_degree(k, l, ctx)) % 2)
+    sign_exponent = (beta_degree(g, h, ctx) * beta_degree(k, l, ctx)) % 2
+    sign = (-1.0) ** sign_exponent
     lhs = sign * cocycle_c(g * h, k, l, ctx) * cocycle_c(g, h, k * l, ctx)
     rhs = (
         cocycle_c(h, k, l, ctx)
@@ -116,7 +117,7 @@ def verify_relation(
     return {
         "lhs": lhs,
         "rhs": rhs,
-        "sign_exponent": (beta_degree(g, h, ctx) * beta_degree(k, l, ctx)) % 2,
+        "sign_exponent": sign_exponent,
         "residual": residual,
         "passed": residual <= 1e-9,
     }

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import cmath
+
 
 class DetlineError(Exception):
     """Base class for all errors raised by this package."""
@@ -47,6 +49,19 @@ class Uncertified(DetlineError):
 
 class Unstable(DetlineError):
     """Window-stability certification failed."""
+
+
+class OutOfRange(DetlineError, ValueError):
+    """A value of C^* is zero or not finite in double precision: it overflowed
+    or underflowed."""
+
+    @classmethod
+    def check(cls, z, what: str) -> complex:
+        """complex(z), which must lie in C^*; raises if it left the float range."""
+        z = complex(z)
+        if z == 0 or not cmath.isfinite(z):
+            raise cls(f"{what} {z} is outside the float range of C^*")
+        return z
 
 
 class ExponentRange(DetlineError):

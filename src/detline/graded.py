@@ -8,7 +8,7 @@ Det(V) has degree dim_even - dim_odd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class ExactTriangle:
     q_minus: np.ndarray
     d_plus: np.ndarray
     d_minus: np.ndarray
-    _ranks: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         shapes = {
@@ -62,21 +61,20 @@ class ExactTriangle:
             mat = np.asarray(getattr(self, name), dtype=complex).reshape(shape)
             setattr(self, name, mat)
 
-    def rank(self, name: str) -> int:
-        if name not in self._ranks:
-            mat = getattr(self, name)
-            self._ranks[name] = len(_linalg.image_pivot_rows(mat))
-        return self._ranks[name]
-
-    def validate(self):
-        """Exactness via rank equalities and vanishing compositions."""
+    def validate(self) -> dict:
+        """Exactness via rank equalities and vanishing compositions; the
+        rank of each of the six maps, by name."""
+        rank = {
+            name: len(_linalg.image_pivot_rows(getattr(self, name)))
+            for name in ("i_plus", "i_minus", "q_plus", "q_minus", "d_plus", "d_minus")
+        }
         conditions = [
-            (self.rank("d_minus") + self.rank("i_plus"), self.U.dim_even, "U+"),
-            (self.rank("i_plus") + self.rank("q_plus"), self.V.dim_even, "V+"),
-            (self.rank("q_plus") + self.rank("d_plus"), self.W.dim_even, "W+"),
-            (self.rank("d_plus") + self.rank("i_minus"), self.U.dim_odd, "U-"),
-            (self.rank("i_minus") + self.rank("q_minus"), self.V.dim_odd, "V-"),
-            (self.rank("q_minus") + self.rank("d_minus"), self.W.dim_odd, "W-"),
+            (rank["d_minus"] + rank["i_plus"], self.U.dim_even, "U+"),
+            (rank["i_plus"] + rank["q_plus"], self.V.dim_even, "V+"),
+            (rank["q_plus"] + rank["d_plus"], self.W.dim_even, "W+"),
+            (rank["d_plus"] + rank["i_minus"], self.U.dim_odd, "U-"),
+            (rank["i_minus"] + rank["q_minus"], self.V.dim_odd, "V-"),
+            (rank["q_minus"] + rank["d_minus"], self.W.dim_odd, "W-"),
         ]
         for got, want, where in conditions:
             if got != want:
@@ -92,6 +90,7 @@ class ExactTriangle:
             prod = a @ b
             if prod.size and np.max(np.abs(prod)) > _linalg._tol(prod):
                 raise NotExact(f"composition {where} is nonzero")
+        return rank
 
 
 def _complement_of_kernel(mat, rng=None):
@@ -123,7 +122,7 @@ def torsion_of_triangle(tri: ExactTriangle, rng=None) -> complex:
     random instead of the deterministic pivot choice; the scalar does
     not depend on this choice.
     """
-    tri.validate()
+    rank = tri.validate()
     u_plus = _complement_of_kernel(tri.i_plus, rng)
     v_plus = _complement_of_kernel(tri.q_plus, rng)
     w_plus = _complement_of_kernel(tri.d_plus, rng)
@@ -149,9 +148,9 @@ def torsion_of_triangle(tri: ExactTriangle, rng=None) -> complex:
     c_minus = wedge_det(tri.q_minus @ v_minus, w_minus, dim=tri.W.dim_odd)
 
     eps = (
-        tri.rank("q_plus") * tri.U.dim_even
-        + tri.rank("i_minus") * tri.W.dim_even
-        + tri.rank("d_minus") * tri.V.dim_odd
+        rank["q_plus"] * tri.U.dim_even
+        + rank["i_minus"] * tri.W.dim_even
+        + rank["d_minus"] * tri.V.dim_odd
     )
     sign = -1.0 if eps % 2 else 1.0
     scalar = sign * (a_minus / a_plus) * (b_plus / b_minus) * (c_plus / c_minus)

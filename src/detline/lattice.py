@@ -202,7 +202,6 @@ class FiberedLatticeOp:
                 ents[(i, j)] = cells
         self.entries = ents
         self._pres = None
-        self._cert = None
         self._cuts = None
         self._fibers = None
 
@@ -350,38 +349,31 @@ class FiberedLatticeOp:
 
     def certify_fredholm(self):
         """Check that the fiber of every unbounded grid cell is bijective."""
-        if self._cert is None:
-            for _, pt, [(mat, dom_a, cod_a)] in _walk([self], bounded=False):
-                if len(dom_a) != len(cod_a):
-                    raise NotFredholm(f"non-square asymptotic fiber at {pt}")
-                if dom_a and abs(_linalg.det(mat)) <= SINGULAR_DET_TOL:
-                    raise NotFredholm(f"singular asymptotic fiber at {pt}")
-            self._cert = True
-        return self._cert
+        for _, pt, [(mat, dom_a, cod_a)] in _walk([self], bounded=False):
+            if len(dom_a) != len(cod_a):
+                raise NotFredholm(f"non-square asymptotic fiber at {pt}")
+            if dom_a and abs(_linalg.det(mat)) <= SINGULAR_DET_TOL:
+                raise NotFredholm(f"singular asymptotic fiber at {pt}")
 
     # -- kernel / cokernel ----------------------------------------------------
 
     def presentation(self) -> Presentation:
         """Kernel basis and cokernel representatives, points in pt_key order.
 
-        Each distinct fiber matrix of the bounded grid cells is eliminated
-        once; the points of its cells share the result.
+        The fiber of each bounded grid cell is eliminated once; the points
+        of the cell share the result.
         """
         if self._pres is None:
             self.certify_fredholm()
-            found, solved = [], {}
+            found = []
             for box, _, [(mat, dom_a, cod_a)] in _walk([self], bounded=True):
                 if not dom_a and not cod_a:
                     continue
-                key = (mat.shape, mat.tobytes())
-                if key not in solved:
-                    solved[key] = (_linalg.nullspace(mat), _linalg.coker_free_rows(mat))
-                null, rows = solved[key]
                 ker = [
                     [(dom_a[ix], x) for ix, x in enumerate(v) if abs(x) > COEFF_TOL]
-                    for v in null
+                    for v in _linalg.nullspace(mat)
                 ]
-                coker = [cod_a[r] for r in rows]
+                coker = [cod_a[r] for r in _linalg.coker_free_rows(mat)]
                 if ker or coker:
                     found.extend((p, ker, coker) for p in box.points())
             found.sort(key=lambda f: pt_key(f[0]))

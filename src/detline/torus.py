@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._intervals import Box, BoxUnion
-from .errors import IdealViolation
+from .errors import IdealViolation, OutOfRange
 from .lattice import FiberedLatticeOp, SlotSpace
 
 
@@ -25,9 +25,7 @@ class Monomial2:
     b: int
 
     def __post_init__(self):
-        if self.mu == 0:
-            raise ValueError("monomial scalar must be nonzero")
-        object.__setattr__(self, "mu", complex(self.mu))
+        object.__setattr__(self, "mu", OutOfRange.check(self.mu, "monomial scalar"))
 
     def __mul__(self, other: "Monomial2") -> "Monomial2":
         return Monomial2(self.mu * other.mu, self.a + other.a, self.b + other.b)
@@ -174,17 +172,16 @@ def commutator_trace_norm(n: int, m: int) -> float:
     return p_diff.compose(q_diff).trace_norm()
 
 
-def assumption_check(triples) -> dict:
-    """Finite-box checks of the two representation-family conditions.
+def assumption_check(triples) -> bool:
+    """Whether both representation-family conditions hold on finite boxes.
 
     `triples` is an iterable of (lam, mu, nu, u, v) with SigmaIndex lam,
     mu, nu and Monomial2 generators u, v.
     """
-    results = []
+    one = RingIdempotent.unit()
     for lam, mu, nu, u, v in triples:
         qu = RingIdempotent.generator(u)
         qv = RingIdempotent.generator(v)
-        one = RingIdempotent.unit()
         d1 = sigma_apply(lam.g, qu).compose(sigma_apply(mu.g, one)).sub(
             sigma_apply(lam.g, one).compose(sigma_apply(mu.g, qu))
         )
@@ -192,17 +189,6 @@ def assumption_check(triples) -> dict:
         d2 = ideal.compose(sigma_apply(mu.g, one)).compose(
             sigma_apply(nu.g, one)
         ).sub(ideal.compose(sigma_apply(nu.g, one)))
-        results.append(
-            {
-                "condition1_finite": d1.is_finite_box(),
-                "condition1_norm": d1.trace_norm() if d1.is_finite_box() else None,
-                "condition2_finite": d2.is_finite_box(),
-                "condition2_norm": d2.trace_norm() if d2.is_finite_box() else None,
-            }
-        )
-    return {
-        "samples": results,
-        "all_finite": all(
-            r["condition1_finite"] and r["condition2_finite"] for r in results
-        ),
-    }
+        if not (d1.is_finite_box() and d2.is_finite_box()):
+            return False
+    return True

@@ -32,8 +32,13 @@ def _run_trials(fn, trials, seed):
     return max((fn(np.random.default_rng(s)) for s in seeds), default=0.0)
 
 
-def _check(name, err, tol=1e-9):
-    return {"name": name, "passed": bool(err <= tol), "max_err": float(err)}
+# Largest error a check passes with: each compares complex values that went
+# through a few dozen double-precision eliminations, which err by ~1e-14.
+CHECK_TOL = 1e-9
+
+
+def _check(name, err):
+    return {"name": name, "passed": bool(err <= CHECK_TOL), "max_err": float(err)}
 
 
 # --------------------------------------------------------------------------
@@ -41,20 +46,20 @@ def _check(name, err, tol=1e-9):
 # --------------------------------------------------------------------------
 
 
-def random_triangle(rng, max_dim=5) -> ExactTriangle:
-    """Random exact triangle built from a rank pattern and conjugation."""
-    while True:
-        r = rng.integers(0, max(2, max_dim // 2) + 1, size=6)
-        dims = {
-            "U+": r[5] + r[0],
-            "V+": r[0] + r[1],
-            "W+": r[1] + r[2],
-            "U-": r[2] + r[3],
-            "V-": r[3] + r[4],
-            "W-": r[4] + r[5],
-        }
-        if all(v <= max_dim for v in dims.values()) and sum(dims.values()) > 0:
-            break
+def random_triangle(rng) -> ExactTriangle:
+    """Random exact triangle built from a rank pattern and conjugation: each
+    map has rank at most 2, so each space has dimension at most 4."""
+    r = rng.integers(0, 3, size=6)
+    while not r.any():
+        r = rng.integers(0, 3, size=6)
+    dims = {
+        "U+": r[5] + r[0],
+        "V+": r[0] + r[1],
+        "W+": r[1] + r[2],
+        "U-": r[2] + r[3],
+        "V-": r[3] + r[4],
+        "W-": r[4] + r[5],
+    }
 
     def std(rows, cols, rank, row_off, col_off):
         m = np.zeros((rows, cols), dtype=complex)
@@ -287,25 +292,27 @@ def suite_perturbation(trials, seed):
 
     def completion_independence(rng):
         base = random_fibered_op(rng, 0, 0)
-        t1 = base.add(random_finite_box(rng, base))
-        t2 = base.add(random_finite_box(rng, base))
+
+        def singular_at_0(op):  # cancel the fiber at 0: a kernel and a cokernel there
+            cancel = [(-op.fiber((0,))[0][0, 0], Box(((0, 1),)))]
+            return op.add(FiberedLatticeOp(op.dom, op.cod, {(0, 0): cancel}))
+
+        t1 = singular_at_0(base.add(random_finite_box(rng, base)))
+        t2 = singular_at_0(base.add(random_finite_box(rng, base)))
         ref = fredlines.perturbation(t1, t2)
 
         def rand_images(op):
             pres = op.presentation()
             k = len(pres.ker)
-            if k == 0:
-                return None
-            while True:
-                mix = _well_conditioned(rng, k)
-                images = []
-                for j in range(k):
-                    img = {}
-                    for i, rep in enumerate(pres.coker):
-                        for lbl, val in rep.items():
-                            img[lbl] = img.get(lbl, 0.0) + mix[i, j] * val
-                    images.append(img)
-                return images
+            mix = _well_conditioned(rng, k)
+            images = []
+            for j in range(k):
+                img = {}
+                for i, rep in enumerate(pres.coker):
+                    for lbl, val in rep.items():
+                        img[lbl] = img.get(lbl, 0.0) + mix[i, j] * val
+                images.append(img)
+            return images
 
         alt = fredlines.perturbation(t1, t2, rand_images(t1), rand_images(t2))
         return abs(ref - alt) / abs(ref)
@@ -596,8 +603,7 @@ def suite_bipolar(trials, seed):
                 random_monomial(rng),
             )
         )
-    rep = assumption_check(triples)
-    checks.append(_check("representation_conditions", 0.0 if rep["all_finite"] else 1.0))
+    checks.append(_check("representation_conditions", 0.0 if assumption_check(triples) else 1.0))
 
     def sigma_props(rng):
         k, u = random_monomial(rng), random_monomial(rng)

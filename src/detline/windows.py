@@ -67,7 +67,6 @@ class DenseOp:
         if self.matrix.shape != (len(self.cod_labels), len(self.dom_labels)):
             raise ShapeMismatch("matrix shape does not match label counts")
         self._pres = None
-        self._svd = None
         self._ker_frame = None
         self._coker_proj = None
 
@@ -81,17 +80,14 @@ class DenseOp:
     # -- kernel / cokernel ----------------------------------------------------
 
     def _decompose(self):
-        if self._svd is None:
-            rows, cols = self.matrix.shape
-            if not self.matrix.size:
-                u, s, vh = np.eye(rows, dtype=complex), np.zeros(0), np.eye(cols, dtype=complex)
-            elif rows == cols and _rank(s := np.linalg.svd(self.matrix, compute_uv=False)) == rows:
-                # invertible: the frames are empty, so no singular vectors
-                u, vh = np.zeros((rows, 0), dtype=complex), np.zeros((0, cols), dtype=complex)
-            else:
-                u, s, vh = np.linalg.svd(self.matrix)
-            self._svd = (u, s, vh)
-        return self._svd
+        """(u, s, vh) of the SVD; run once, by `presentation`."""
+        rows, cols = self.matrix.shape
+        if not self.matrix.size:
+            return np.eye(rows, dtype=complex), np.zeros(0), np.eye(cols, dtype=complex)
+        if rows == cols and _rank(s := np.linalg.svd(self.matrix, compute_uv=False)) == rows:
+            # invertible: the frames are empty, so no singular vectors
+            return np.zeros((rows, 0), dtype=complex), s, np.zeros((0, cols), dtype=complex)
+        return np.linalg.svd(self.matrix)
 
     def presentation(self) -> Presentation:
         if self._pres is None:

@@ -9,15 +9,9 @@ from detline.lattice import COEFF_TOL, FiberedLatticeOp, _box_size, _walk
 
 def _full_svd_decompose(self):
     """The full-SVD DenseOp._decompose the rank-first one replaced."""
-    if self._svd is None:
-        if self.matrix.size:
-            u, s, vh = np.linalg.svd(self.matrix)
-        else:
-            u = np.eye(len(self.cod_labels), dtype=complex)
-            s = np.zeros(0)
-            vh = np.eye(len(self.dom_labels), dtype=complex)
-        self._svd = (u, s, vh)
-    return self._svd
+    if self.matrix.size:
+        return np.linalg.svd(self.matrix)
+    return np.eye(len(self.cod_labels), dtype=complex), np.zeros(0), np.eye(len(self.dom_labels), dtype=complex)
 
 
 @pytest.fixture

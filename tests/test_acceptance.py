@@ -304,12 +304,12 @@ def test_criterion_09_bipolarisation():
         )
         for _ in range(20)
     ]
-    rep = assumption_check(triples)
+    finite = assumption_check(triples)
     report(
         9,
         "trace-norm table |n||m| and representation conditions",
-        worst == 0.0 and rep["all_finite"],
-        f"max_table_err={worst:.1e} conditions_finite={rep['all_finite']}",
+        worst == 0.0 and finite,
+        f"max_table_err={worst:.1e} conditions_finite={finite}",
     )
 
 

@@ -273,8 +273,13 @@ def test_root_on_the_circle_is_uncertified():
 
 
 def test_convention_probe_and_agreement():
+    # the constant orientation: on (z, 2) the pairing is 2 and the tame symbol
+    # 1/2, exactly in the monomial mode and to roundoff in the window mode
     s = ci.convention_exponent()
-    assert s in (1, -1)
+    two = ci.Loop.monomial(2.0, 0)
+    assert ci.steinberg_pairing(Z, two) == 2.0 and ci.tame_symbol_formula(Z, two) == 0.5 == 2.0**s
+    window = ci.steinberg_pairing(ci.Loop.laurent([0.0, 1.0], 0), ci.Loop.laurent([2.0], 0))
+    assert window == pytest.approx(2.0, rel=1e-12)
     for v in [ci.Loop.monomial(2.0, 0), ci.Loop.monomial(1 + 1j, 0), ci.Loop.laurent([2.0, 1.0], 0)]:
         pairing = ci.steinberg_pairing(Z, v, window_n=64)
         tame = ci.tame_symbol_formula(Z, v)
@@ -393,17 +398,9 @@ def test_each_composition_composes_once(monkeypatch):
 def test_pairing_decomposes_each_window_operator_once(monkeypatch, svd_flags):
     from detline.windows import DenseOp
 
-    fresh = []
-    real = DenseOp._decompose
-
-    def counted(self):
-        if self._svd is None:
-            fresh.append(1)
-        return real(self)
-
-    monkeypatch.setattr(DenseOp, "_decompose", counted)
+    decomposed = _count_calls(monkeypatch, DenseOp, "_decompose")
     ci.steinberg_pairing(Z, ci.Loop.laurent([0.3, 2.0, 0.5], -1), 64, certify=False)
-    assert len(fresh) == 24
+    assert len(decomposed) == 24
     # singular vectors only where a kernel or cokernel exists: 7 rectangles
     # and 4 rank-deficient squares of the 24 (the full SVD took 24)
     assert svd_flags.count(True) == 11

@@ -1,5 +1,7 @@
 """Command-line interface: parsing, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detline import circle as ci
 from detline.cli import main, parse_loop, parse_monomial2, parse_scalar
@@ -141,7 +145,6 @@ def test_tame_command_constant_close_to_one(capsys):
 
 
 def test_tame_command_exits_1_on_oracle_mismatch(capsys, monkeypatch):
-    ci.convention_exponent(48)  # probe the orientation with the true integral
     formula = ci.tame_symbol_formula
     monkeypatch.setattr(ci, "tame_symbol_formula", lambda u, v: formula(u, v) * (1 + 1e-4))
     code, out = run(capsys, "tame", "z", "(2,0)", "--numeric", "48")
@@ -173,6 +176,12 @@ _ON_CIRCLE = f"(1,0):({-math.cos(math.pi / 4096)!r},{-math.sin(math.pi / 4096)!r
         (["cocycle3", "(1e400,0)*z1", "z2", "z1"], 2, "not finite"),
         (["tame", "z", _ON_CIRCLE], 2, "root on the circle"),
         (["tame", "z", "(-0.95,0):(1.9025,0):(-0.95,0)@-1", "--numeric", "64"], 3, "linear algebra failed"),
+        # values that leave the float range: NaN, a traceback or an exit 2 before
+        (["tame", "(1e200,0)*z^2", "(1e200,0)"], 3, "numerical overflow"),
+        (["tame", "(1e200,0)*z^2", "(1e-200,0)"], 3, "numerical overflow"),
+        (["tame", "(1e-200,0)*z^2", "(1e-200,0)"], 3, "numerical overflow"),
+        (["pair", "z1^2", "z2^2", "(1e200,0)"], 3, "numerical overflow"),
+        (["cocycle3", "(1e200,0)", "z1^2", "z2^2"], 3, "numerical overflow"),
     ],
 )
 def test_bad_input_ends_in_a_documented_exit_code(capsys, argv, code, message):
@@ -199,6 +208,19 @@ def test_readme_commands_match_golden_bytes(name, argv):
     assert res.stdout == (GOLDEN / f"{name}.json").read_bytes()
 
 
+def test_tame_stdout_does_not_depend_on_the_blas_thread_count():
+    argv = ["tame", "(1.3,0.2)*z^2", "(2,0):(0.4,0.1):(0.3,0)@-1", "--numeric", "128"]
+    outs = [
+        subprocess.run(
+            [sys.executable, "-m", "detline.cli", *argv],
+            capture_output=True,
+            env={**CHILD_ENV, "OPENBLAS_NUM_THREADS": threads},
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert outs[0] == outs[1]
+
+
 def test_verify_command_and_determinism(capsys):
     code1, out1 = run(capsys, "verify", "--suite", "bipolar", "--trials", "4", "--seed", "3")
     code2, out2 = run(capsys, "verify", "--suite", "bipolar", "--trials", "4", "--seed", "3")
@@ -217,3 +239,60 @@ def test_cross_process_determinism():
     b = subprocess.run(cmd, capture_output=True, text=True, env=CHILD_ENV)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+# The CLI grammar on bounded inputs: exponents in [-2, 2], windows 1-24, at
+# most 4 coefficients, scalar moduli from 1e-250 to 1e250.
+def _scalar_text(exponent, phase):
+    z = 10.0**exponent * complex(math.cos(phase), math.sin(phase))
+    return f"({z.real!r},{z.imag!r})"
+
+
+_scalars = st.builds(_scalar_text, st.floats(-250, 250), st.floats(0, 2 * math.pi))
+_exponents = st.integers(-2, 2)
+
+
+@st.composite
+def _monomial2(draw):
+    parts = [draw(st.one_of(st.none(), _scalars))]
+    parts += [f"{v}^{draw(_exponents)}" if draw(st.booleans()) else None for v in ("z1", "z2")]
+    parts = [p for p in parts if p] or [draw(_scalars)]
+    return "*".join(parts)
+
+
+@st.composite
+def _loop(draw):
+    if draw(st.booleans()):
+        return f"{draw(_scalars)}*z^{draw(_exponents)}"
+    coeffs = draw(st.lists(_scalars, min_size=1, max_size=4))
+    return ":".join(coeffs) + f"@{draw(_exponents)}"
+
+
+_argv = st.one_of(
+    st.tuples(st.just("cocycle3"), _monomial2(), _monomial2(), _monomial2()).map(list),
+    st.tuples(st.just("pair"), _monomial2(), _monomial2(), _monomial2()).map(list),
+    st.tuples(st.just("tame"), _loop(), _loop(), st.integers(1, 24)).map(
+        lambda t: [*t[:3], "--numeric", str(t[3])]
+    ),
+    st.tuples(
+        st.sampled_from(["torsion", "perturbation", "category", "cocycle", "bipolar"]),
+        st.integers(0, 1),
+        st.integers(0, 2**32 - 1),
+    ).map(lambda t: ["verify", "--suite", t[0], "--trials", str(t[1]), "--seed", str(t[2])]),
+)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} in stdout")
+
+
+# Derandomized: the same 60 inputs on every run, about 5 s.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_argv)
+def test_cli_grammar_ends_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    if out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

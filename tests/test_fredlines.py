@@ -152,6 +152,34 @@ def test_property_suites():
             assert c["passed"], (name, c)
 
 
+def _completion_independence(trials, seed):
+    return next(c for c in suite_perturbation(trials, seed) if c["name"] == "completion_independence")
+
+
+def test_completion_independence_check_is_not_vacuous(monkeypatch):
+    # both operators of every trial have a kernel, so the random images are
+    # used; a perturbation map without its cokernel correction fails the check
+    real, kernels = fredlines.perturbation, []
+
+    def recorded(T1, T2, images1=None, images2=None):
+        if images1 is not None:
+            kernels.append((len(T1.presentation().ker), len(T2.presentation().ker)))
+        return real(T1, T2, images1, images2)
+
+    monkeypatch.setattr(fredlines, "perturbation", recorded)
+    assert _completion_independence(10, 3)["passed"]
+    assert len(kernels) == 10 and all(k1 and k2 for k1, k2 in kernels)
+
+    def uncorrected(T1, T2, images1=None, images2=None):
+        def c(T, images):
+            return _linalg.det(T.coker_coords(images or fredlines._matcher_images(T.presentation())))
+
+        return real(T1, T2, images1, images2) * c(T2, images2) / c(T1, images1)
+
+    monkeypatch.setattr(fredlines, "perturbation", uncorrected)
+    assert not _completion_independence(10, 3)["passed"]
+
+
 def test_dense_backend_matches_fibered_perturbation():
     # same index-zero perturbation computed in both representations
     rng = np.random.default_rng(77)

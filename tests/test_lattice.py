@@ -233,14 +233,17 @@ def test_window_compression_of_shift():
 
 
 def test_window_toeplitz_matches_entrywise_reference():
-    # a rectangular compression wider than the symbol band
+    # a rectangular compression wider than the symbol band 2 BAND + 1, of a
+    # symbol whose coefficients past the band are far above roundoff
     u = ci.Loop.laurent([0.3, 2.0, 0.5], -1)
-    v = ci.Loop.monomial(2.0, 3)
-    op = ci.WindowContext(band=6).toeplitz(u, v, 20)
-    coeffs, _ = ci.symbol_coeffs(u, v, 6)
-    ref = np.zeros((17, 20), dtype=complex)
-    for j in range(17):
-        for k in range(20):
+    v = ci.Loop.laurent([2.0, -1.8], 3)  # 2 z^3 (1 - 0.9 z)
+    op = ci.WindowContext().toeplitz(u, v, 120)
+    coeffs, _ = ci.symbol_coeffs(u, v, ci.BAND)
+    wide, _ = ci.symbol_coeffs(u, v, ci.BAND + 1)
+    assert abs(wide[ci.BAND + 1]) > 1e-3
+    ref = np.zeros((117, 120), dtype=complex)
+    for j in range(117):
+        for k in range(120):
             c = coeffs.get(j - k)
             if c is not None:
                 ref[j, k] = c
@@ -709,7 +712,7 @@ def _ref_init(self, dom, cod, entries):
         cells = _ref_canonical_cells(list(pairs), sup)
         if cells:
             self.entries[(i, j)] = cells
-    self._pres = self._cert = self._cuts = self._fibers = None
+    self._pres = self._cuts = self._fibers = None
 
 
 def _use_reference_geometry(monkeypatch):
