@@ -11,7 +11,8 @@ def _full_svd_decompose(self):
     """The full-SVD DenseOp._decompose the rank-first one replaced."""
     if self.matrix.size:
         return np.linalg.svd(self.matrix)
-    return np.eye(len(self.cod_labels), dtype=complex), np.zeros(0), np.eye(len(self.dom_labels), dtype=complex)
+    rows, cols = len(self.cod_labels), len(self.dom_labels)
+    return np.eye(rows, dtype=complex), np.zeros(0), np.eye(cols, dtype=complex)
 
 
 @pytest.fixture
