@@ -48,10 +48,6 @@ def nullspace(mat):
     column index ascending.
     """
     a = np.asarray(mat, dtype=complex)
-    if a.size == 0:
-        if a.shape[1] == 0:
-            return []
-        return [np.eye(a.shape[1], dtype=complex)[:, j] for j in range(a.shape[1])]
     r, pivots = rref(a)
     n = a.shape[1]
     free = [j for j in range(n) if j not in pivots]
@@ -68,8 +64,6 @@ def nullspace(mat):
 def image_pivot_rows(mat):
     """Row indices that carry the column space (via column elimination)."""
     a = np.asarray(mat, dtype=complex)
-    if a.size == 0:
-        return []
     _, pivots = rref(a.T)
     return sorted(pivots)
 
@@ -86,10 +80,6 @@ def solve_exact(a, b):
     """Least-squares solve that insists on a (near) exact solution."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.shape[1] == 0:
-        if np.max(np.abs(b), initial=0.0) > _tol(b, SOLVE_TOL):
-            raise np.linalg.LinAlgError("inconsistent system")
-        return np.zeros((0,) + b.shape[1:], dtype=complex)
     x, *_ = np.linalg.lstsq(a, b, rcond=None)
     resid = a @ x - b
     scale = max(np.max(np.abs(b), initial=0.0), np.max(np.abs(a), initial=0.0), 1.0)
@@ -102,7 +92,5 @@ def det(mat):
     a = np.asarray(mat, dtype=complex)
     if a.shape[0] != a.shape[1]:
         raise np.linalg.LinAlgError("determinant of non-square matrix")
-    if a.shape[0] == 0:
-        return 1.0 + 0.0j
     return complex(np.linalg.det(a))
 

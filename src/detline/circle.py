@@ -31,8 +31,9 @@ NONVANISH_TOL = 1e-6
 # Relative agreement required between the Steinberg pairing and the
 # tame symbol by `detline tame`.
 PAIRING_REL_TOL = 1e-6
-# FFT coefficients of a product of loops at or below this are roundoff of
-# the GRID-point transform, not terms of the product.
+# FFT coefficients of a product of loops at or below this times the largest
+# coefficient are roundoff of the GRID-point transform, not terms of the
+# product: the threshold is relative, as that roundoff scales with the product.
 FFT_COEFF_TOL = 1e-12
 # Half-width of the Toeplitz band kept from a window symbol v^{-1} u.  The
 # largest coefficient it drops is `WindowContext.tail`: at most 2.2e-12 over
@@ -118,10 +119,11 @@ class Loop:
 
 
 def _loop_from_fft(coeffs):
-    """The Laurent loop of the FFT coefficients above FFT_COEFF_TOL (index
-    i > n/2 is i - n), built without the root certificate: its factors are
-    computed only if read."""
-    idx = np.flatnonzero(np.abs(coeffs) > FFT_COEFF_TOL)
+    """The Laurent loop of the FFT coefficients above FFT_COEFF_TOL times the
+    largest (index i > n/2 is i - n), built without the root certificate: its
+    factors are computed only if read."""
+    mags = np.abs(coeffs)
+    idx = np.flatnonzero(mags > FFT_COEFF_TOL * mags.max())
     ks = np.where(idx <= len(coeffs) // 2, idx, idx - len(coeffs))
     order = np.argsort(ks)
     return Loop(1.0, 0, tuple((int(k), complex(c)) for k, c in zip(ks[order], coeffs[idx][order])))

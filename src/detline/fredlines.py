@@ -23,19 +23,16 @@ from __future__ import annotations
 import numpy as np
 
 from . import _linalg
-from .graded import ExactTriangle, GradedVectorSpace, torsion_of_triangle
+from .graded import ExactTriangle, torsion_of_triangle
 from .lattice import FiberedLatticeOp, Presentation
 from .errors import (
     IndexMismatch,
     NotComplementary,
     NotQuasiIso,
     NotTraceClassDifference,
+    OutOfRange,
     ShapeMismatch,
 )
-
-
-def _space_of(pres: Presentation) -> GradedVectorSpace:
-    return GradedVectorSpace(len(pres.ker), len(pres.coker))
 
 
 def triangle_of_composition(T, S, ST=None):
@@ -50,9 +47,6 @@ def triangle_of_composition(T, S, ST=None):
     d_plus = T.coker_coords(list(pS.ker))
     d_minus = np.zeros((len(pT.ker), len(pS.coker)))
     return ExactTriangle(
-        U=_space_of(pT),
-        V=_space_of(pST),
-        W=_space_of(pS),
         i_plus=i_plus,
         i_minus=i_minus,
         q_plus=q_plus,
@@ -190,5 +184,5 @@ def perturbation(T1, T2, images1=None, images2=None) -> complex:
     d1 = _linalg.det(completed(T1, dom_labels, cod_labels, p1.ker, images1))
     d2 = _linalg.det(completed(T2, dom_labels, cod_labels, p2.ker, images2))
     if abs(d1) < 1e-300:
-        raise IndexMismatch("completion of the first operator is singular")
+        raise OutOfRange(f"completion determinant {d1} of the first operator underflowed")
     return d2 / d1 * c1 / c2

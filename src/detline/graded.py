@@ -1,9 +1,10 @@
-"""Z/2-graded vector spaces and the torsion of exact triangles.
+"""Exact triangles of determinant lines and their torsion.
 
 A determinant-line isomorphism is a single complex scalar relative to
 canonical frames: the canonical frame of Det(V) is (top wedge of the even
 basis) tensor (dual top wedge of the odd basis), both in basis order.
-Det(V) has degree dim_even - dim_odd.
+Det(V) has degree dim_even - dim_odd.  A triangle is its six maps; the
+dimension of each space is read from the shapes of the two maps meeting it.
 """
 
 from __future__ import annotations
@@ -15,13 +16,16 @@ import numpy as np
 from . import _linalg
 from .errors import NotExact
 
-
-@dataclass(frozen=True)
-class GradedVectorSpace:
-    """Finite-dimensional Z/2-graded space with its standard basis."""
-
-    dim_even: int
-    dim_odd: int
+# The six maps in triangle order, each with the space it leaves and the
+# space it enters.
+_MAPS = (
+    ("i_plus", "U+", "V+"),
+    ("q_plus", "V+", "W+"),
+    ("d_plus", "W+", "U-"),
+    ("i_minus", "U-", "V-"),
+    ("q_minus", "V-", "W-"),
+    ("d_minus", "W-", "U+"),
+)
 
 
 def swap_epsilon(a: int, b: int) -> int:
@@ -38,9 +42,6 @@ class ExactTriangle:
     maps W+ into U-, d_minus maps W- into U+).
     """
 
-    U: GradedVectorSpace
-    V: GradedVectorSpace
-    W: GradedVectorSpace
     i_plus: np.ndarray
     i_minus: np.ndarray
     q_plus: np.ndarray
@@ -49,61 +50,40 @@ class ExactTriangle:
     d_minus: np.ndarray
 
     def __post_init__(self):
-        shapes = {
-            "i_plus": (self.V.dim_even, self.U.dim_even),
-            "i_minus": (self.V.dim_odd, self.U.dim_odd),
-            "q_plus": (self.W.dim_even, self.V.dim_even),
-            "q_minus": (self.W.dim_odd, self.V.dim_odd),
-            "d_plus": (self.U.dim_odd, self.W.dim_even),
-            "d_minus": (self.U.dim_even, self.W.dim_odd),
-        }
-        for name, shape in shapes.items():
-            mat = np.asarray(getattr(self, name), dtype=complex).reshape(shape)
-            setattr(self, name, mat)
+        for name, _, _ in _MAPS:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=complex))
 
-    def validate(self) -> dict:
-        """Exactness via rank equalities and vanishing compositions; the
-        rank of each of the six maps, by name."""
-        rank = {
-            name: len(_linalg.image_pivot_rows(getattr(self, name)))
-            for name in ("i_plus", "i_minus", "q_plus", "q_minus", "d_plus", "d_minus")
-        }
-        conditions = [
-            (rank["d_minus"] + rank["i_plus"], self.U.dim_even, "U+"),
-            (rank["i_plus"] + rank["q_plus"], self.V.dim_even, "V+"),
-            (rank["q_plus"] + rank["d_plus"], self.W.dim_even, "W+"),
-            (rank["d_plus"] + rank["i_minus"], self.U.dim_odd, "U-"),
-            (rank["i_minus"] + rank["q_minus"], self.V.dim_odd, "V-"),
-            (rank["q_minus"] + rank["d_minus"], self.W.dim_odd, "W-"),
-        ]
-        for got, want, where in conditions:
-            if got != want:
-                raise NotExact(f"rank condition fails at {where}: {got} != {want}")
-        for a, b, where in [
-            (self.q_plus, self.i_plus, "q+ i+"),
-            (self.q_minus, self.i_minus, "q- i-"),
-            (self.d_plus, self.q_plus, "d+ q+"),
-            (self.d_minus, self.q_minus, "d- q-"),
-            (self.i_minus, self.d_plus, "i- d+"),
-            (self.i_plus, self.d_minus, "i+ d-"),
-        ]:
-            prod = a @ b
+    def validate(self) -> tuple[dict, dict]:
+        """Exactness via rank equalities and vanishing compositions.
+
+        Returns the dimension of each space and the pivot columns of each
+        map (one elimination per map), by name.
+        """
+        dims, pivots = {}, {}
+        for name, source, target in _MAPS:
+            mat = getattr(self, name)
+            for space, n in ((target, mat.shape[0]), (source, mat.shape[1])):
+                if dims.setdefault(space, n) != n:
+                    raise NotExact(f"{name} disagrees on dim {space}: {n} != {dims[space]}")
+            pivots[name] = _linalg.rref(mat)[1]
+        for (before, _, _), (name, space, _) in zip(_MAPS[-1:] + _MAPS[:-1], _MAPS):
+            got = len(pivots[before]) + len(pivots[name])
+            if got != dims[space]:
+                raise NotExact(f"rank condition fails at {space}: {got} != {dims[space]}")
+            prod = getattr(self, name) @ getattr(self, before)
             if prod.size and np.max(np.abs(prod)) > _linalg._tol(prod):
-                raise NotExact(f"composition {where} is nonzero")
-        return rank
+                raise NotExact(f"composition {name} {before} is nonzero")
+        return dims, pivots
 
 
-def _complement_of_kernel(mat, rng=None):
-    """Columns spanning a complement of Ker(mat), as a dim x rank matrix."""
-    mat = np.asarray(mat, dtype=complex)
-    n = mat.shape[1]
+def _complement_of_kernel(mat, pivots, rng=None):
+    """Columns spanning a complement of Ker(mat), as a dim x rank matrix;
+    `pivots` are the pivot columns of mat."""
+    n, rank = mat.shape[1], len(pivots)
     if rng is None:
-        _, pivots = _linalg.rref(mat)
-        cols = np.zeros((n, len(pivots)), dtype=complex)
-        for k, p in enumerate(pivots):
-            cols[p, k] = 1.0
+        cols = np.zeros((n, rank), dtype=complex)
+        cols[pivots, range(rank)] = 1.0
         return cols
-    rank = len(_linalg.image_pivot_rows(mat))
     kern = _linalg.nullspace(mat)
     kern_mat = np.array(kern).T if kern else np.zeros((n, 0), dtype=complex)
     for _ in range(64):
@@ -122,35 +102,28 @@ def torsion_of_triangle(tri: ExactTriangle, rng=None) -> complex:
     random instead of the deterministic pivot choice; the scalar does
     not depend on this choice.
     """
-    rank = tri.validate()
-    u_plus = _complement_of_kernel(tri.i_plus, rng)
-    v_plus = _complement_of_kernel(tri.q_plus, rng)
-    w_plus = _complement_of_kernel(tri.d_plus, rng)
-    u_minus = _complement_of_kernel(tri.i_minus, rng)
-    v_minus = _complement_of_kernel(tri.q_minus, rng)
-    w_minus = _complement_of_kernel(tri.d_minus, rng)
+    dims, pivots = tri.validate()
+    u_plus, v_plus, w_plus, u_minus, v_minus, w_minus = (
+        _complement_of_kernel(getattr(tri, name), pivots[name], rng) for name, _, _ in _MAPS
+    )
 
-    def wedge_det(*blocks, dim):
-        cols = [b for b in blocks if b.shape[1]]
-        mat = np.hstack(cols) if cols else np.zeros((dim, 0), dtype=complex)
-        if mat.shape != (dim, dim):
-            raise NotExact("wedge blocks do not fill the space")
-        val = _linalg.det(mat)
+    def wedge_det(*blocks):
+        val = _linalg.det(np.hstack(blocks))
         if abs(val) <= 1e-12:
             raise NotExact("degenerate lift choice")
         return val
 
-    a_plus = wedge_det(tri.i_plus @ u_plus, v_plus, dim=tri.V.dim_even)
-    a_minus = wedge_det(tri.i_minus @ u_minus, v_minus, dim=tri.V.dim_odd)
-    b_plus = wedge_det(tri.d_minus @ w_minus, u_plus, dim=tri.U.dim_even)
-    b_minus = wedge_det(tri.d_plus @ w_plus, u_minus, dim=tri.U.dim_odd)
-    c_plus = wedge_det(tri.q_plus @ v_plus, w_plus, dim=tri.W.dim_even)
-    c_minus = wedge_det(tri.q_minus @ v_minus, w_minus, dim=tri.W.dim_odd)
+    a_plus = wedge_det(tri.i_plus @ u_plus, v_plus)
+    a_minus = wedge_det(tri.i_minus @ u_minus, v_minus)
+    b_plus = wedge_det(tri.d_minus @ w_minus, u_plus)
+    b_minus = wedge_det(tri.d_plus @ w_plus, u_minus)
+    c_plus = wedge_det(tri.q_plus @ v_plus, w_plus)
+    c_minus = wedge_det(tri.q_minus @ v_minus, w_minus)
 
     eps = (
-        rank["q_plus"] * tri.U.dim_even
-        + rank["i_minus"] * tri.W.dim_even
-        + rank["d_minus"] * tri.V.dim_odd
+        len(pivots["q_plus"]) * dims["U+"]
+        + len(pivots["i_minus"]) * dims["W+"]
+        + len(pivots["d_minus"]) * dims["V-"]
     )
     sign = -1.0 if eps % 2 else 1.0
     scalar = sign * (a_minus / a_plus) * (b_plus / b_minus) * (c_plus / c_minus)

@@ -13,7 +13,7 @@ from . import cocycle3 as c3
 from . import coproduct as cp
 from . import fredlines
 from ._intervals import Box, BoxUnion
-from .graded import ExactTriangle, GradedVectorSpace, swap_epsilon, torsion_of_triangle
+from .graded import ExactTriangle, swap_epsilon, torsion_of_triangle
 from .lattice import FiberedLatticeOp, SlotSpace
 from .torus import (
     Monomial2,
@@ -81,9 +81,6 @@ def random_triangle(rng) -> ExactTriangle:
         return g[target] @ mat @ np.linalg.inv(g[source])
 
     return ExactTriangle(
-        U=GradedVectorSpace(dims["U+"], dims["U-"]),
-        V=GradedVectorSpace(dims["V+"], dims["V-"]),
-        W=GradedVectorSpace(dims["W+"], dims["W-"]),
         i_plus=conj(i_p, "V+", "U+"),
         i_minus=conj(i_m, "V-", "U-"),
         q_plus=conj(q_p, "W+", "V+"),
@@ -171,16 +168,16 @@ def suite_torsion(trials, seed):
 
     def naturality(rng):
         tri = random_triangle(rng)
+        # each space is the domain of one map
         iso = {
-            k: _well_conditioned(rng, d)
-            for k, d in {
-                "U+": tri.U.dim_even, "U-": tri.U.dim_odd,
-                "V+": tri.V.dim_even, "V-": tri.V.dim_odd,
-                "W+": tri.W.dim_even, "W-": tri.W.dim_odd,
+            k: _well_conditioned(rng, m.shape[1])
+            for k, m in {
+                "U+": tri.i_plus, "U-": tri.i_minus,
+                "V+": tri.q_plus, "V-": tri.q_minus,
+                "W+": tri.d_plus, "W-": tri.d_minus,
             }.items()
         }
         tri2 = ExactTriangle(
-            U=tri.U, V=tri.V, W=tri.W,
             i_plus=iso["V+"] @ tri.i_plus @ np.linalg.inv(iso["U+"]),
             i_minus=iso["V-"] @ tri.i_minus @ np.linalg.inv(iso["U-"]),
             q_plus=iso["W+"] @ tri.q_plus @ np.linalg.inv(iso["V+"]),
@@ -201,10 +198,9 @@ def suite_torsion(trials, seed):
     checks.append(_check("naturality", _run_trials(naturality, trials, seed + 1)))
 
     def commutativity(rng):
-        nU = (int(rng.integers(0, 3)), int(rng.integers(0, 3)))
-        nW = (int(rng.integers(0, 3)), int(rng.integers(0, 3)))
-        U, W = GradedVectorSpace(*nU), GradedVectorSpace(*nW)
-        V = GradedVectorSpace(U.dim_even + W.dim_even, U.dim_odd + W.dim_odd)
+        ue, uo = int(rng.integers(0, 3)), int(rng.integers(0, 3))
+        we, wo = int(rng.integers(0, 3)), int(rng.integers(0, 3))
+        ve, vo = ue + we, uo + wo
 
         def block(rows, cols, kind):
             m = np.zeros((rows, cols), dtype=complex)
@@ -217,26 +213,24 @@ def suite_torsion(trials, seed):
             return m
 
         d1 = ExactTriangle(
-            U=U, V=V, W=W,
-            i_plus=block(V.dim_even, U.dim_even, "top"),
-            i_minus=block(V.dim_odd, U.dim_odd, "top"),
-            q_plus=np.hstack([np.zeros((W.dim_even, U.dim_even)), np.eye(W.dim_even)]),
-            q_minus=np.hstack([np.zeros((W.dim_odd, U.dim_odd)), np.eye(W.dim_odd)]),
-            d_plus=np.zeros((U.dim_odd, W.dim_even)),
-            d_minus=np.zeros((U.dim_even, W.dim_odd)),
+            i_plus=block(ve, ue, "top"),
+            i_minus=block(vo, uo, "top"),
+            q_plus=np.hstack([np.zeros((we, ue)), np.eye(we)]),
+            q_minus=np.hstack([np.zeros((wo, uo)), np.eye(wo)]),
+            d_plus=np.zeros((uo, we)),
+            d_minus=np.zeros((ue, wo)),
         )
         d2 = ExactTriangle(
-            U=W, V=V, W=U,
-            i_plus=block(V.dim_even, W.dim_even, "bot"),
-            i_minus=block(V.dim_odd, W.dim_odd, "bot"),
-            q_plus=np.hstack([np.eye(U.dim_even), np.zeros((U.dim_even, W.dim_even))]),
-            q_minus=np.hstack([np.eye(U.dim_odd), np.zeros((U.dim_odd, W.dim_odd))]),
-            d_plus=np.zeros((W.dim_odd, U.dim_even)),
-            d_minus=np.zeros((W.dim_even, U.dim_odd)),
+            i_plus=block(ve, we, "bot"),
+            i_minus=block(vo, wo, "bot"),
+            q_plus=np.hstack([np.eye(ue), np.zeros((ue, we))]),
+            q_minus=np.hstack([np.eye(uo), np.zeros((uo, wo))]),
+            d_plus=np.zeros((wo, ue)),
+            d_minus=np.zeros((we, uo)),
         )
         t1 = torsion_of_triangle(d1)
         t2 = torsion_of_triangle(d2)
-        eps = swap_epsilon(nU[0] - nU[1], nW[0] - nW[1])
+        eps = swap_epsilon(ue - uo, we - wo)
         return abs(t1 * eps - t2)
 
     checks.append(_check("commutativity", _run_trials(commutativity, trials, seed + 2)))

@@ -427,9 +427,10 @@ def test_readme_tame_pair_bit_for_bit_with_full_svds(monkeypatch, full_svd_decom
     assert repr(got) == repr(ci.steinberg_pairing(u, v, 64, certify=True))
 
 
-def _ref_loop_from_fft(coeffs, tol=1e-12):
+def _ref_loop_from_fft(coeffs, rel_tol=1e-12):
     # the per-coefficient loop the vectorised filter replaced
     n = len(coeffs)
+    tol = rel_tol * max(abs(c) for c in coeffs)
     pairs = []
     for i, c in enumerate(coeffs):
         k = i if i <= n // 2 else i - n
@@ -452,7 +453,9 @@ def test_loop_from_fft_matches_the_loop_reference():
     single = np.zeros(ci.GRID, dtype=complex)
     single[ci.GRID - 6] = 0.5 - 2j  # the lone coefficient of z^-6
     near_tol = np.array(spectra[0])
-    near_tol[[7, 9, ci.GRID - 9]] = 2e-12, 1e-12, 5e-13  # kept, dropped at tol, dropped
+    peak = np.abs(near_tol).max()
+    # kept, dropped at tol, dropped
+    near_tol[[7, 9, ci.GRID - 9]] = 2e-12 * peak, 1e-12 * peak, 5e-13 * peak
     nyquist = np.zeros(ci.GRID, dtype=complex)
     nyquist[[0, ci.GRID // 2, ci.GRID // 2 + 1]] = 3.0, 0.5, 0.25j  # z^0, z^2048, z^-2047
     for coeffs in spectra + [single, near_tol, nyquist]:
@@ -460,6 +463,17 @@ def test_loop_from_fft_matches_the_loop_reference():
     assert ci._loop_from_fft(single).coeffs == ((-6, 0.5 - 2j),)
     u, v = ci.Loop.laurent([0.3, 2.0, 0.1], -1), ci.Loop.laurent([0.5, 3.0], -1)
     assert repr(u * v) == repr(_ref_loop_from_fft(np.fft.fft(u.samples * v.samples) / ci.GRID))
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1.0, 1e10])
+def test_product_keeps_its_span_at_any_scale(scale):
+    # FFT roundoff is relative to the product's largest coefficient
+    u = ci.Loop.laurent([scale, 0.5 * scale], 0)
+    v = ci.Loop.laurent([0.2 * scale, 2.0 * scale], -1)
+    prod = u * v
+    assert [k for k, _ in prod.coeffs] == [-1, 0, 1]
+    want = np.array([0.2, 2.1, 1.0]) * scale**2
+    assert np.array([c for _, c in prod.coeffs]) == pytest.approx(want, rel=1e-12)
 
 
 def test_product_factors_are_the_operands_factors():

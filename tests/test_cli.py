@@ -182,6 +182,13 @@ _ON_CIRCLE = f"(1,0):({-math.cos(math.pi / 4096)!r},{-math.sin(math.pi / 4096)!r
         (["tame", "(1e-200,0)*z^2", "(1e-200,0)"], 3, "numerical overflow"),
         (["pair", "z1^2", "z2^2", "(1e200,0)"], 3, "numerical overflow"),
         (["cocycle3", "(1e200,0)", "z1^2", "z2^2"], 3, "numerical overflow"),
+        # large-scale loops whose window determinants underflow: exit 2 before
+        (["tame", "(0.81,-0.58)*z", "(5.3e129,7.8e128)@-1", "--numeric", "14"], 3, "underflowed"),
+        (
+            ["tame", "(1e20,0):(0.5e20,0)@0", "(2e10,0):(0.1e10,0)@-1", "--numeric", "24"],
+            3,
+            "underflowed",
+        ),
     ],
 )
 def test_bad_input_ends_in_a_documented_exit_code(capsys, argv, code, message):

@@ -11,7 +11,7 @@ from detline.errors import (
     NotTraceClassDifference,
     ShapeMismatch,
 )
-from detline.graded import ExactTriangle, GradedVectorSpace, torsion_of_triangle
+from detline.graded import ExactTriangle, torsion_of_triangle
 from detline.lattice import FiberedLatticeOp, SlotSpace
 from detline.verify import (
     _well_conditioned,
@@ -581,9 +581,6 @@ def _ref_split_triangle_scalar(T, padded, aux_dom, aux_cod):
     ).reshape(len(aux_cod), len(pP.coker))
     return torsion_of_triangle(
         ExactTriangle(
-            U=GradedVectorSpace(len(pT.ker), len(pT.coker)),
-            V=GradedVectorSpace(len(pP.ker), len(pP.coker)),
-            W=GradedVectorSpace(len(aux_dom), len(aux_cod)),
             i_plus=padded.express_in_kernel(list(pT.ker)),
             i_minus=padded.coker_coords(list(pT.coker)),
             q_plus=q_plus,
