@@ -3,11 +3,13 @@
 Monomial loops are handled exactly by the fibered d=1 calculus (Hardy
 projections become half-line indicators).  General nonvanishing Laurent
 loops run through windowed Toeplitz compressions in the translation
-gauge, certified by re-running at a larger window.  Both modes share one
-morphism calculus; only the factory that builds a morphism's operator differs.
+gauge.  Both modes share one morphism calculus; only the factory that
+builds a morphism's operator differs.
 
 A Laurent loop is its roots, c z^w prod(1 - a/z) prod(1 - z/b) with |a| < 1 < |b|:
-they certify nonvanishing and give the winding w and the tame symbol in closed form.
+they certify nonvanishing, give the winding w and the tame symbol in closed form,
+and certify a window a priori: the drift of a window value is bounded by the
+decay rate of the Borodin-Okounkov remainder, read off the roots.
 """
 
 from __future__ import annotations
@@ -21,13 +23,24 @@ from . import fredlines
 from ._intervals import Box, BoxUnion
 from .errors import OutOfRange, Uncertified, Unstable
 from .lattice import FiberedLatticeOp, SlotSpace
-from .windows import DenseOp, certify_stable
+from .windows import DenseOp
 
 GRID = 4096
-# A root this close to the circle counts as on it: such a loop would need
-# windows of order 1e6 for its window drift to fall below WINDOW_DRIFT_REL,
-# so the pipeline could never certify it anyway.
+# A root this close to the circle counts as on it: paired with a root as close
+# on the other side, it gives rho = 1 - 2e-6, and the window certificate would
+# ask for windows of order 1e7, which no window computes.
 NONVANISH_TOL = 1e-6
+# Largest relative drift of a window value that the window certificate
+# admits.  A certified value moves between windows by roundoff only (at most
+# 2.3e-13 over a seed-1 round of the bench `window` workload), so this
+# leaves a wide margin; it matches SVD_TOL, the window's own relative cut.
+WINDOW_DRIFT_REL = 1e-8
+# The constant C of the window certificate C (n + 1)^(d - 1) rho^n.  Over a
+# seeded sweep of 600 pairs mu z^k x Laurent loop (rho up to 0.93, N from 16
+# to 96, 253 with a repeated root) the pairing's error was at most
+# 0.051 (n + 1)^(d - 1) rho^n, though up to 121 rho^n: the polynomial factor
+# carries the repeated roots, and C = 10 leaves a factor of 200 on it.
+DRIFT_C = 10.0
 # Relative agreement required between the Steinberg pairing and the
 # tame symbol by `detline tame`.
 PAIRING_REL_TOL = 1e-6
@@ -35,9 +48,13 @@ PAIRING_REL_TOL = 1e-6
 # coefficient are roundoff of the GRID-point transform, not terms of the
 # product: the threshold is relative, as that roundoff scales with the product.
 FFT_COEFF_TOL = 1e-12
-# Half-width of the Toeplitz band kept from a window symbol v^{-1} u.  The
-# largest coefficient it drops is `WindowContext.tail`: at most 2.2e-12 over
-# seed 1-3 rounds of the bench `window` workload, 8.9e-16 on (z, 2 + z).
+# Half-width of the Toeplitz band kept from a window symbol v^{-1} u whose
+# coefficients past it are roundoff, at most FFT_COEFF_TOL times the largest.
+# The largest coefficient it drops is `WindowContext.tail`: at most 2.2e-12
+# over seed 1-3 rounds of the bench `window` workload, 8.9e-16 on (z, 2 + z).
+# A symbol with larger terms past the band keeps every coefficient its window
+# reaches: cutting them moved the pairing of z^2 with z^-1 (1 + 0.85/z)^2
+# (1 - z/1.75) by 1e-4 at N = 52, a value the window certificate admits.
 BAND = 48
 
 
@@ -247,17 +264,23 @@ class WindowContext:
 
     def toeplitz(self, u: Loop, v: Loop, dom_n: int) -> DenseOp:
         """Compression of v^{-1} u between Hardy windows [0, dom_n) and
-        [0, dom_n + w(u) - w(v)), cut to the band |j - k| <= BAND."""
+        [0, dom_n + w(u) - w(v)), cut to the band |j - k| <= BAND unless the
+        cut would drop a coefficient above FFT_COEFF_TOL times the largest."""
         key = (u, v, dom_n)
         if key not in self._ops:
-            coeffs, tail = symbol_coeffs(u, v, BAND)
-            self.tail = max(self.tail, tail)
             cod_n = dom_n + winding_number(u) - winding_number(v)
-            sym = np.array([coeffs[k] for k in range(-BAND, BAND + 1)])
+            band = BAND
+            coeffs, tail = symbol_coeffs(u, v, band)
+            if tail > FFT_COEFF_TOL * max(map(abs, coeffs.values())):
+                # a term of the symbol, not roundoff: keep every one the window reaches
+                band = max(BAND, min(max(dom_n, cod_n), GRID // 2 - 1))
+                coeffs, tail = symbol_coeffs(u, v, band)
+            self.tail = max(self.tail, tail)
+            sym = np.array([coeffs[k] for k in range(-band, band + 1)])
             offset = np.subtract.outer(np.arange(cod_n), np.arange(dom_n))
-            inside = np.abs(offset) <= BAND
+            inside = np.abs(offset) <= band
             mat = np.zeros((cod_n, dom_n), dtype=complex)
-            mat[inside] = sym[offset[inside] + BAND]
+            mat[inside] = sym[offset[inside] + band]
             self._ops[key] = DenseOp(list(range(dom_n)), list(range(cod_n)), mat)
         return self._ops[key]
 
@@ -285,13 +308,54 @@ def _win_alpha(ctx: WindowContext, u: Loop, v: Loop, dom_n: int) -> _Mor:
     return _Mor(u, v, dom_n, 1.0 + 0.0j)
 
 
+def _smallest_window(g: Loop, h: Loop, n: int) -> int:
+    """The smallest window of the chain 1 -> gh -> g -> 1 of c(g, h) at n."""
+    n_min = min(n, n - winding_number(g), n - winding_number(g) - winding_number(h))
+    if n_min < 0:
+        raise Uncertified(f"window {n} is smaller than a winding number")
+    return n_min
+
+
+def _certify_window(u: Loop, v: Loop, window_n: int, n_min: int) -> None:
+    """Raise Unstable unless DRIFT_C (n + 1)^(d - 1) rho^n <= WINDOW_DRIFT_REL at
+    the smallest window n = n_min of the chains on u and v, where d counts the
+    roots of both loops and rho = max |inner root| / min |outer root| over them.
+
+    A window value differs from its limit by the Borodin-Okounkov remainder
+    det(I - Q_n H(b) H(c~) Q_n), which pairs the outer roots of one Wiener-Hopf
+    factor with the inner roots of the other: it decays like rho^n, times a
+    polynomial in n for repeated roots.  With no inner or no outer root the
+    finite sections compose exactly.
+    """
+    inner = np.abs(np.concatenate([u.factors[2], v.factors[2]]))
+    outer = np.abs(np.concatenate([u.factors[3], v.factors[3]]))
+    if not (inner.size and outer.size):
+        return
+    rho = inner.max() / outer.min()
+    log_rho, d = np.log(rho), inner.size + outer.size
+
+    def excess(n):  # log(bound(n) / WINDOW_DRIFT_REL)
+        return np.log(DRIFT_C / WINDOW_DRIFT_REL) + (d - 1) * np.log(n + 1) + n * log_rho
+
+    # the bound meets WINDOW_DRIFT_REL at n = (log(C / tol) + (d - 1) log(n + 1)) / -log(rho);
+    # iterating that map from n_min rises to the smallest n that certifies
+    n = n_min
+    while excess(n) > 0:
+        n = max(n + 1, int(np.ceil(n - excess(n) / log_rho)))
+    if n > n_min:
+        raise Unstable(
+            f"window drift bound {DRIFT_C:g}*(n+1)^{d - 1}*{rho:.4g}^n is "
+            f"{WINDOW_DRIFT_REL * np.exp(excess(n_min)):.2g} at the smallest window n = {n_min}, "
+            f"above {WINDOW_DRIFT_REL:g}; a window of {window_n + n - n_min} or more certifies"
+        )
+
+
 def _cres_window(g: Loop, h: Loop, n: int) -> complex:
     ctx = WindowContext()
     op = ctx.toeplitz
     one = Loop.monomial(1.0, 0)
     gh = g * h
-    if min(n, n - winding_number(g), n - winding_number(gh)) < 0:
-        raise Uncertified(f"window {n} is smaller than a winding number")
+    _smallest_window(g, h, n)  # Uncertified below a winding number
     # chain 1 -> gh -> g -> 1 with matching windows
     a_gh = _win_alpha(ctx, one, gh, n)
     # Known defect: on winding-zero pairs every window is N x N and `_compose`
@@ -324,22 +388,27 @@ def m_uni(g: Loop, h: Loop, n: int) -> complex:
 
 
 def cres_cocycle(g: Loop, h: Loop, window_n: int = 64, certify: bool = True) -> complex:
-    """Group 2-cochain of the restricted linear category on two loops."""
+    """Group 2-cochain of the restricted linear category on two loops; a
+    windowed value is certified by `_certify_window` first, unless `certify`
+    is false."""
     if g.is_monomial and h.is_monomial:
         return cres_cochain_base(g, h, 0)
+    if certify:
+        _certify_window(g, h, window_n, _smallest_window(g, h, window_n))
     try:
-        val = _cres_window(g, h, window_n)
-        if certify:
-            certify_stable(val, _cres_window(g, h, window_n + 16))
+        return _cres_window(g, h, window_n)
     except np.linalg.LinAlgError as exc:
         raise Unstable(f"window linear algebra failed: {exc}") from exc
-    return val
 
 
 def steinberg_pairing(u: Loop, v: Loop, window_n: int = 64, certify: bool = True) -> complex:
     """(-1)^{w(u) w(v)} c(u,v) / c(v,u): the lines are Z/2-graded by winding,
-    so swapping u and v carries the Koszul sign, and {u, u} = (-1)^{w(u)}."""
-    ratio = cres_cocycle(u, v, window_n, certify) / cres_cocycle(v, u, window_n, certify)
+    so swapping u and v carries the Koszul sign, and {u, u} = (-1)^{w(u)}.
+    Both cochains are certified at once, before either window is computed."""
+    if certify and not (u.is_monomial and v.is_monomial):
+        n_min = min(_smallest_window(u, v, window_n), _smallest_window(v, u, window_n))
+        _certify_window(u, v, window_n, n_min)
+    ratio = cres_cocycle(u, v, window_n, False) / cres_cocycle(v, u, window_n, False)
     return -ratio if winding_number(u) * winding_number(v) % 2 else ratio
 
 

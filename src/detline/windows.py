@@ -2,8 +2,8 @@
 
 A ``DenseOp`` is a complex matrix between two labelled finite coordinate
 spaces.  Kernels and cokernels are found by SVD with a relative
-singular-value threshold; consumers certify stability by re-running a
-whole computation at a larger window.  A square window takes its singular
+singular-value threshold; `circle` certifies a window value a priori
+from its loops' roots.  A square window takes its singular
 values first and its singular vectors only when a kernel or cokernel
 exists: an invertible one gets empty frames without them.  Rectangular
 windows always have one, so they take the full SVD at once.
@@ -28,18 +28,13 @@ from functools import cached_property
 import numpy as np
 
 from . import _linalg
-from .errors import ShapeMismatch, Unstable
+from .errors import ShapeMismatch
 from .lattice import Presentation
 
 # Relative singular-value cut.  Over a seed-1 round of the bench `window`
 # workload the smallest kept σ/σ_max is 0.41 and the largest dropped one
 # 4.9e-16: far from the cut, so values-only and full SVDs agree on ranks.
 SVD_TOL = 1e-8
-# Largest relative change of a value between windows N and N + 16 that
-# still certifies it.  A converged value moves by roundoff only (at most
-# 2.3e-13 over a seed-1 round of the bench `window` workload), so this
-# leaves a wide margin; it matches SVD_TOL, the window's own relative cut.
-WINDOW_DRIFT_REL = 1e-8
 
 
 def _echelon(basis):
@@ -161,9 +156,3 @@ class DenseOp:
 
     def __repr__(self):
         return f"DenseOp({len(self.cod_labels)}x{len(self.dom_labels)})"
-
-
-def certify_stable(a, b):
-    """Compare one value of a windowed pipeline at radius N and at N + 16."""
-    if abs(a - b) > WINDOW_DRIFT_REL * max(abs(a), abs(b), 1e-300):
-        raise Unstable(f"value drifted with the window: {a} vs {b}")

@@ -8,9 +8,7 @@ import pytest
 from detline import circle as ci
 from detline import fredlines
 from detline._intervals import Box, BoxUnion
-from detline.errors import Uncertified
-from detline.windows import certify_stable
-from detline.errors import Unstable
+from detline.errors import Uncertified, Unstable
 from detline.lattice import FiberedLatticeOp, SlotSpace
 from detline.windows import DenseOp
 
@@ -150,14 +148,96 @@ def test_m_uni_cross_check():
     assert cw == pytest.approx(ci.m_uni(g, h, 64), rel=1e-7)
 
 
+def _from_roots(c, w, inner, outer):
+    """The Laurent loop c z^w prod(1 - a/z) prod(1 - z/b)."""
+    poly = np.poly1d([c])
+    for a in inner:
+        poly = poly * np.poly1d([1.0, -a])
+    for b in outer:
+        poly = poly * np.poly1d([-1.0 / b, 1.0])
+    return ci.Loop.laurent(list(poly.coeffs[::-1]), w - len(inner))
+
+
+def _tame_power(u, v):
+    return ci.tame_symbol_formula(u, v) ** ci.CONVENTION_EXPONENT
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
+
 def test_window_certification():
-    g = ci.Loop.laurent([2.0, 1.0], 0)
-    v1 = ci._cres_window(Z, g, 64)
-    v2 = ci._cres_window(Z, g, 80)
-    certify_stable(v1, v2)
-    certify_stable(v1, v1 * (1 + 1e-10))
+    # every value the root bound certifies agrees with the window 16 wider and
+    # with the tame symbol; seeded mixed pairs, a third with a repeated root
+    rng = np.random.default_rng(11)
+    certified, drifting_refused = 0, 0
+    for case in range(16):
+        def root(lo, hi):
+            return rng.uniform(lo, hi) * np.exp(2j * np.pi * rng.random())
+
+        inner = [root(0.1, 0.95) for _ in range(rng.integers(1, 3))]
+        outer = [1 / root(0.1, 0.95) for _ in range(rng.integers(1, 3))]
+        if case % 3 == 0:
+            inner.append(inner[0])
+        v = _from_roots(root(0.5, 2.0), int(rng.integers(-1, 2)), inner, outer)
+        u = ci.Loop.monomial(root(0.5, 2.0), int(rng.choice([1, -1, 2, -2, 3])))
+        n = int(rng.choice([16, 32, 48]))
+        val = ci.steinberg_pairing(u, v, n, certify=False)
+        try:
+            assert ci.steinberg_pairing(u, v, n) == val
+        except Unstable:
+            drifting_refused += _rel(val, _tame_power(u, v)) > ci.WINDOW_DRIFT_REL
+            continue
+        certified += 1
+        assert _rel(val, ci.steinberg_pairing(u, v, n + 16, certify=False)) <= ci.WINDOW_DRIFT_REL
+        assert _rel(val, _tame_power(u, v)) <= ci.WINDOW_DRIFT_REL
+    # the bound certifies most pairs and refuses some that really drift
+    assert certified >= 8 and drifting_refused >= 2, (certified, drifting_refused)
+
+
+def test_certificate_asks_for_the_window_that_certifies():
+    # u = z, v = (1 - 0.9/z)(1 - 0.9z): rho = 0.81 and the pairing is 1
+    v = ci.Loop.laurent([-0.9, 1.81, -0.9], -1)
+    with pytest.raises(Unstable, match="a window of 123 or more certifies"):
+        ci.steinberg_pairing(Z, v, 64)
+    assert abs(ci.steinberg_pairing(Z, v, 123) - 1.0) <= 1e-10
+    assert abs(ci.steinberg_pairing(Z, v, 128) - 1.0) <= 5e-13
+    # z v against z^-3: the smallest window, N - 1, is in the chain of c(z v, z^-3)
+    with pytest.raises(Unstable, match="a window of 123 or more certifies"):
+        ci.steinberg_pairing(ci.Loop.monomial(1.0, -3), ci.Loop.laurent([-0.9, 1.81, -0.9], 0), 64)
+    # an analytic loop has rho = 0: its finite sections compose exactly
+    assert abs(ci.steinberg_pairing(Z, ci.Loop.laurent([1.0, -0.95], 0), 16) - 1.0) <= 1e-14
+
+
+def test_certificate_comes_after_the_winding_check():
+    v = ci.Loop.laurent([-0.9, 1.81, -0.9], -1)  # Unstable at any small window
+    with pytest.raises(Uncertified, match="smaller than a winding number"):
+        ci.steinberg_pairing(ci.Loop.monomial(1.0, 5), v, 3)
+
+
+def test_window_computed_only_after_the_certificate(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ci, "_cres_window", lambda g, h, n: calls.append(n))
     with pytest.raises(Unstable):
-        certify_stable(v1, v1 * (1 + 1e-6))
+        ci.steinberg_pairing(Z, ci.Loop.laurent([-0.9, 1.81, -0.9], -1), 64)
+    assert calls == []
+
+
+def test_window_linear_algebra_failure_is_unstable(monkeypatch):
+    def fail(g, h, n):
+        raise np.linalg.LinAlgError("inconsistent system")
+
+    monkeypatch.setattr(ci, "_cres_window", fail)
+    with pytest.raises(Unstable, match="window linear algebra failed"):
+        ci.steinberg_pairing(Z, ci.Loop.laurent([2.0, 1.0], 0), 64)
+
+
+def test_band_keeps_symbol_terms_past_it():
+    # v^{-1} has terms 0.85^k k past the band; cut at BAND they moved the
+    # pairing by 1e-4 at N = 52, which the root bound certifies
+    v = _from_roots(1.0, -1, [-0.85, -0.85], [1.75])
+    u = ci.Loop.monomial(1.0, 2)
+    assert _rel(ci.steinberg_pairing(u, v, 52), _tame_power(u, v)) <= 1e-13
 
 
 def test_tame_symbol_examples():

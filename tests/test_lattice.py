@@ -232,22 +232,32 @@ def test_window_compression_of_shift():
     assert op.index() == -ci.winding_number(u) == 0
 
 
-def test_window_toeplitz_matches_entrywise_reference():
-    # a rectangular compression wider than the symbol band 2 BAND + 1, of a
-    # symbol whose coefficients past the band are far above roundoff
-    u = ci.Loop.laurent([0.3, 2.0, 0.5], -1)
-    v = ci.Loop.laurent([2.0, -1.8], 3)  # 2 z^3 (1 - 0.9 z)
-    op = ci.WindowContext().toeplitz(u, v, 120)
-    coeffs, _ = ci.symbol_coeffs(u, v, ci.BAND)
-    wide, _ = ci.symbol_coeffs(u, v, ci.BAND + 1)
-    assert abs(wide[ci.BAND + 1]) > 1e-3
-    ref = np.zeros((117, 120), dtype=complex)
-    for j in range(117):
-        for k in range(120):
+def _toeplitz_reference(coeffs, rows, cols):
+    ref = np.zeros((rows, cols), dtype=complex)
+    for j in range(rows):
+        for k in range(cols):
             c = coeffs.get(j - k)
             if c is not None:
                 ref[j, k] = c
-    assert np.array_equal(op.matrix, ref)
+    return ref
+
+
+def test_window_toeplitz_matches_entrywise_reference():
+    # a rectangular compression wider than the symbol band 2 BAND + 1, of a
+    # symbol whose coefficients past the band are far above roundoff: it
+    # keeps every coefficient the window reaches
+    u = ci.Loop.laurent([0.3, 2.0, 0.5], -1)
+    v = ci.Loop.laurent([2.0, -1.8], 3)  # 2 z^3 (1 - 0.9 z)
+    op = ci.WindowContext().toeplitz(u, v, 120)
+    coeffs, _ = ci.symbol_coeffs(u, v, 120)
+    assert abs(coeffs[ci.BAND + 1]) > 1e-3
+    assert np.array_equal(op.matrix, _toeplitz_reference(coeffs, 117, 120))
+    # a symbol whose coefficients past the band are roundoff is cut to it
+    u = ci.Loop.laurent([0.3, 2.0, 0.5], -1)
+    op = ci.WindowContext().toeplitz(u, ci.Loop.monomial(1.0, 0), 120)
+    coeffs, tail = ci.symbol_coeffs(u, ci.Loop.monomial(1.0, 0), ci.BAND)
+    assert tail <= ci.FFT_COEFF_TOL * 2.0
+    assert np.array_equal(op.matrix, _toeplitz_reference(coeffs, 120, 120))
 
 
 def test_window_express_in_kernel_rejects_non_kernel_vectors():
