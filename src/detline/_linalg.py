@@ -10,9 +10,9 @@ ZERO_TOL = 1e-10
 SOLVE_TOL = 1e-8
 
 
-def _tol(mat, rel=ZERO_TOL):
+def _tol(mat):
     scale = np.max(np.abs(mat)) if mat.size else 0.0
-    return rel * max(scale, 1.0)
+    return ZERO_TOL * max(scale, 1.0)
 
 
 def rref(mat):

@@ -50,8 +50,8 @@ PAIRING_REL_TOL = 1e-6
 FFT_COEFF_TOL = 1e-12
 # Half-width of the Toeplitz band kept from a window symbol v^{-1} u whose
 # coefficients past it are roundoff, at most FFT_COEFF_TOL times the largest.
-# The largest coefficient it drops is `WindowContext.tail`: at most 2.2e-12
-# over seed 1-3 rounds of the bench `window` workload, 8.9e-16 on (z, 2 + z).
+# The largest coefficient it drops was at most 2.2e-12 over seed 1-3 rounds
+# of the bench `window` workload, and 8.9e-16 on (z, 2 + z).
 # A symbol with larger terms past the band keeps every coefficient its window
 # reaches: cutting them moved the pairing of z^2 with z^-1 (1 + 0.85/z)^2
 # (1 - z/1.75) by 1e-4 at N = 52, a value the window certificate admits.
@@ -176,20 +176,29 @@ class _Mor:
     coeff: complex
 
 
-def _compose(op, x: _Mor, y: _Mor) -> _Mor:
-    """y o x, scaled by the torsion of the composition and its perturbation."""
+def _compose(op, x: _Mor, y: _Mor, memo=None) -> _Mor:
+    """y o x, scaled by the torsion of the composition and its perturbation.
+
+    The two factors depend on the maps' objects and windows only; `memo`, a
+    `WindowContext.factors`, keeps them, so a chain that composes the same
+    two windows twice composes them once.
+    """
     assert x.v == y.u
-    T, S = op(x.u, x.v, x.dom_n), op(y.u, y.v, y.dom_n)
-    comp = S.compose(T)
-    tors = fredlines.torsion(T, S, comp)
-    pert = fredlines.perturbation(comp, op(x.u, y.v, x.dom_n))
+    memo = {} if memo is None else memo
+    key = (x.u, x.v, y.v, x.dom_n, y.dom_n)
+    if key not in memo:
+        T, S = op(x.u, x.v, x.dom_n), op(y.u, y.v, y.dom_n)
+        comp = S.compose(T)
+        tors = fredlines.torsion(T, S, comp)
+        memo[key] = tors, fredlines.perturbation(comp, op(x.u, y.v, x.dom_n))
+    tors, pert = memo[key]
     return _Mor(x.u, y.v, x.dom_n, x.coeff * y.coeff * tors * pert)
 
 
-def _invert(op, x: _Mor) -> _Mor:
+def _invert(op, x: _Mor, memo=None) -> _Mor:
     """The inverse v -> u; its domain window is the codomain window of x."""
     probe = _Mor(x.v, x.u, x.dom_n + winding_number(x.u) - winding_number(x.v), 1.0 + 0.0j)
-    return replace(probe, coeff=1.0 / _compose(op, x, probe).coeff)
+    return replace(probe, coeff=1.0 / _compose(op, x, probe, memo).coeff)
 
 
 # --------------------------------------------------------------------------
@@ -256,11 +265,12 @@ def base_change_cochain(g: Loop, base: int, twist=None) -> complex:
 
 
 class WindowContext:
-    """Windowed Toeplitz compressions with chained rectangular windows."""
+    """Windowed Toeplitz compressions with chained rectangular windows, and
+    the (torsion, perturbation) factors of each composition of two of them."""
 
     def __init__(self):
         self._ops = {}
-        self.tail = 0.0
+        self.factors = {}
 
     def toeplitz(self, u: Loop, v: Loop, dom_n: int) -> DenseOp:
         """Compression of v^{-1} u between Hardy windows [0, dom_n) and
@@ -274,8 +284,7 @@ class WindowContext:
             if tail > FFT_COEFF_TOL * max(map(abs, coeffs.values())):
                 # a term of the symbol, not roundoff: keep every one the window reaches
                 band = max(BAND, min(max(dom_n, cod_n), GRID // 2 - 1))
-                coeffs, tail = symbol_coeffs(u, v, band)
-            self.tail = max(self.tail, tail)
+                coeffs, _ = symbol_coeffs(u, v, band)
             sym = np.array([coeffs[k] for k in range(-band, band + 1)])
             offset = np.subtract.outer(np.arange(cod_n), np.arange(dom_n))
             inside = np.abs(offset) <= band
@@ -326,9 +335,19 @@ def _certify_window(u: Loop, v: Loop, window_n: int, n_min: int) -> None:
     factor with the inner roots of the other: it decays like rho^n, times a
     polynomial in n for repeated roots.  With no inner or no outer root the
     finite sections compose exactly.
+
+    Until the window chain stops multiplying finite sections, a pair whose
+    Widom constant E(u, v) / E(v, u) is not 1 (one loop has an inner root,
+    the other an outer root) also raises Unstable: the chain drops it.
     """
-    inner = np.abs(np.concatenate([u.factors[2], v.factors[2]]))
-    outer = np.abs(np.concatenate([u.factors[3], v.factors[3]]))
+    (_, _, inner_u, outer_u), (_, _, inner_v, outer_v) = u.factors, v.factors
+    if (inner_u.size and outer_v.size) or (outer_u.size and inner_v.size):
+        raise Unstable(
+            "the window pipeline drops the Widom constant E(u, v) / E(v, u) of a pair "
+            "where one loop has a root inside the unit circle and the other one outside it"
+        )
+    inner = np.abs(np.concatenate([inner_u, inner_v]))
+    outer = np.abs(np.concatenate([outer_u, outer_v]))
     if not (inner.size and outer.size):
         return
     rho = inner.max() / outer.min()
@@ -352,7 +371,7 @@ def _certify_window(u: Loop, v: Loop, window_n: int, n_min: int) -> None:
 
 def _cres_window(g: Loop, h: Loop, n: int) -> complex:
     ctx = WindowContext()
-    op = ctx.toeplitz
+    op, memo = ctx.toeplitz, ctx.factors
     one = Loop.monomial(1.0, 0)
     gh = g * h
     _smallest_window(g, h, n)  # Uncertified below a winding number
@@ -362,8 +381,9 @@ def _cres_window(g: Loop, h: Loop, n: int) -> complex:
     # multiplies finite sections, whose Widom far-corner term W_N H(a~)H(b) W_N
     # mirrors the true one: the cochain is symmetric and the pairing reads 1.
     g_ah = _win_alpha(ctx, g, gh, n - winding_number(g))
-    step1 = _compose(op, a_gh, _invert(op, g_ah))
-    loop = _compose(op, step1, _invert(op, _win_alpha(ctx, one, g, n)))
+    step1 = _compose(op, a_gh, _invert(op, g_ah, memo), memo)
+    # the last step repeats the composition of inverting alpha_g: memo hit
+    loop = _compose(op, step1, _invert(op, _win_alpha(ctx, one, g, n), memo), memo)
     assert loop.u == loop.v == one
     return complex(loop.coeff)
 

@@ -90,10 +90,9 @@ def random_triangle(rng) -> ExactTriangle:
     )
 
 
-def random_dense_chain(rng, sizes=None):
-    """Composable finite-matrix Fredholm operators with tame spectra."""
-    if sizes is None:
-        sizes = [int(rng.integers(2, 5)) for _ in range(4)]
+def random_dense_chain(rng):
+    """Three composable finite-matrix Fredholm operators with tame spectra."""
+    sizes = [int(rng.integers(2, 5)) for _ in range(4)]
 
     def mk(dom, cod):
         n_in, n_out = len(dom), len(cod)
@@ -120,22 +119,23 @@ def _half1(n) -> BoxUnion:
     return BoxUnion(1, [Box(((n, None),))])
 
 
-def random_fibered_op(rng, n_dom, n_cod, width=4) -> FiberedLatticeOp:
-    """Shift-free d=1 operator: identity tail plus a random finite box."""
+def random_fibered_op(rng, n_dom, n_cod) -> FiberedLatticeOp:
+    """Shift-free d=1 operator: identity tail plus random entries on four cells."""
     dom = SlotSpace([("d", _half1(n_dom))])
     cod = SlotSpace([("c", _half1(n_cod))])
     ents = [(1.0, Box(((max(n_dom, n_cod), None),)))]
-    for k in range(min(n_dom, n_cod), min(n_dom, n_cod) + width):
+    for k in range(min(n_dom, n_cod), min(n_dom, n_cod) + 4):
         ents.append(
             (0.45 * complex(rng.standard_normal(), rng.standard_normal()), Box(((k, k + 1),)))
         )
     return FiberedLatticeOp(dom, cod, {(0, 0): ents})
 
 
-def random_finite_box(rng, op: FiberedLatticeOp, width=3) -> FiberedLatticeOp:
+def random_finite_box(rng, op: FiberedLatticeOp) -> FiberedLatticeOp:
+    """Random entries on the three cells from op's lowest breakpoint."""
     lo = min(op.breakpoints(0))
     ents = []
-    for k in range(lo, lo + width):
+    for k in range(lo, lo + 3):
         ents.append(
             (0.3 * complex(rng.standard_normal(), rng.standard_normal()), Box(((k, k + 1),)))
         )

@@ -3,10 +3,12 @@
 A ``DenseOp`` is a complex matrix between two labelled finite coordinate
 spaces.  Kernels and cokernels are found by SVD with a relative
 singular-value threshold; `circle` certifies a window value a priori
-from its loops' roots.  A square window takes its singular
-values first and its singular vectors only when a kernel or cokernel
-exists: an invertible one gets empty frames without them.  Rectangular
-windows always have one, so they take the full SVD at once.
+from its loops' roots.  A square window is first tested for
+invertibility with one LU factorisation: its determinant and Frobenius
+norm bound its condition number (`_certified_invertible`), and a
+certified one gets empty frames without an SVD.  Any other window takes
+one full SVD: rectangular windows always have a kernel or cokernel, and
+a square the bound cannot certify needs the SVD's singular vectors.
 
 The SVD fixes a kernel or cokernel basis only up to a unitary rotation,
 which depends on the LAPACK path.  Determinant lines need a frame that
@@ -33,7 +35,9 @@ from .lattice import Presentation
 
 # Relative singular-value cut.  Over a seed-1 round of the bench `window`
 # workload the smallest kept σ/σ_max is 0.41 and the largest dropped one
-# 4.9e-16: far from the cut, so values-only and full SVDs agree on ranks.
+# 4.9e-16: far from the cut.  The invertibility certificate works at half
+# the cut; over seed 1, 3 and 9 rounds its condition bound on an
+# invertible square was at most 7e5, so it certified every one of them.
 SVD_TOL = 1e-8
 
 
@@ -46,6 +50,40 @@ def _echelon(basis):
 def _rank(s):
     """Number of singular values above the relative cut."""
     return int(np.sum(s > SVD_TOL * max(s[0] if s.size else 0.0, 1e-300)))
+
+
+def _certified_invertible(mat) -> bool:
+    """Whether `_rank` of the SVD of the n x n `mat` would be n, shown from
+    one LU factorisation (`slogdet`); False when the bound cannot show it.
+
+    With s1 >= ... >= sn the singular values and F the Frobenius norm,
+    s1 <= F, and AM-GM on s1 ... s(n-1) gives their product at most
+    (F^2 / (n - 1))^((n - 1)/2), so sn = |det| / (s1 ... s(n-1)) is at
+    least |det| (F^2 / (n - 1))^(-(n - 1)/2)  (Guggenheimer, Edelman and
+    Johnson, College Math. J. 26, 1995).  Certified means that lower bound
+    exceeds 2 SVD_TOL max(F, 1e-300): twice `_rank`'s cut, floor included.
+    The logarithms are taken of B = mat / max|mat|, so nothing overflows.
+
+    The factor 2 covers the rounding of both computations.  LU with partial
+    pivoting returns the determinant of some B + E with ||E|| of order
+    n eps rho ||B||, rho its growth factor (Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 9), so the bound holds for B + E, and for
+    B within ||E|| (Weyl); the SVD returns singular values within about
+    n eps s1 of the true ones.  Together they move sn by about
+    n^(3/2) eps rho s1: below 1e-9 s1 for windows of a few hundred rows
+    unless rho passes 1e3, while the factor 2 leaves 1e-8 s1.  The norm and
+    the sum of logarithms add relative errors near n eps.  A singular or
+    non-finite matrix gives no finite bound and is left to the SVD.
+    """
+    n, scale = len(mat), np.max(np.abs(mat))
+    if not 0.0 < scale < np.inf:
+        return False
+    b = mat / scale
+    _, log_det = np.linalg.slogdet(b)
+    log_f2 = 2.0 * np.log(np.linalg.norm(b))  # F^2 of B lies in [1, n^2]
+    log_s1 = np.log(scale) + log_f2 / 2.0
+    log_sn = np.log(scale) + log_det - (n - 1) / 2.0 * (log_f2 - np.log(max(n - 1, 1)))
+    return bool(log_sn > np.log(2.0 * SVD_TOL) + max(log_s1, np.log(1e-300)))
 
 
 def _sparse(vec, labels):
@@ -75,13 +113,15 @@ class DenseOp:
     # -- kernel / cokernel ----------------------------------------------------
 
     def _decompose(self):
-        """(u, s, vh) of the SVD; run once, by `presentation`."""
+        """(u, s, vh) of the SVD; run once, by `presentation`.  A square
+        certified invertible takes none: it gets no singular triples, so
+        its kernel and cokernel frames are empty."""
         rows, cols = self.matrix.shape
         if not self.matrix.size:
             return np.eye(rows, dtype=complex), np.zeros(0), np.eye(cols, dtype=complex)
-        if rows == cols and _rank(s := np.linalg.svd(self.matrix, compute_uv=False)) == rows:
-            # invertible: the frames are empty, so no singular vectors
-            return np.zeros((rows, 0), dtype=complex), s, np.zeros((0, cols), dtype=complex)
+        if rows == cols and _certified_invertible(self.matrix):
+            empty = np.zeros((rows, 0), dtype=complex)
+            return empty, np.zeros(0), empty.T
         return np.linalg.svd(self.matrix)
 
     def presentation(self) -> Presentation:

@@ -480,10 +480,35 @@ def test_pairing_decomposes_each_window_operator_once(monkeypatch, svd_flags):
 
     decomposed = _count_calls(monkeypatch, DenseOp, "_decompose")
     ci.steinberg_pairing(Z, ci.Loop.laurent([0.3, 2.0, 0.5], -1), 64, certify=False)
-    assert len(decomposed) == 24
-    # singular vectors only where a kernel or cokernel exists: 7 rectangles
-    # and 4 rank-deficient squares of the 24 (the full SVD took 24)
-    assert svd_flags.count(True) == 11
+    # each cochain's last composition reuses the one of inverting alpha_g
+    assert len(decomposed) == 22
+    # an SVD only where a kernel or cokernel exists: 7 rectangles and 3
+    # rank-deficient squares of the 22; the other squares are certified
+    assert svd_flags == [True] * 10
+
+
+def test_pairing_composes_each_window_pair_once_per_context(monkeypatch):
+    pairs, real = [], DenseOp.compose
+
+    def compose(S, T):
+        pairs.append((S, T))  # keeps both alive, so no id is reused
+        return real(S, T)
+
+    monkeypatch.setattr(DenseOp, "compose", compose)
+    v = ci.Loop.laurent([0.3, 2.0, 0.5], -1)
+    ci.steinberg_pairing(Z, v, 64, certify=False)
+    # three per cochain: the last step reuses the composition of inverting alpha_g
+    assert len(pairs) == 6
+    assert len({(id(S), id(T)) for S, T in pairs}) == 6
+
+    # the memo keeps the factors of each composition, bit for bit
+    pairs.clear()
+    ctx = ci.WindowContext()
+    x = ci._win_alpha(ctx, ONE, v, 64)
+    once = ci._invert(ctx.toeplitz, x, ctx.factors)
+    again = ci._invert(ctx.toeplitz, x, ctx.factors)
+    assert len(pairs) == 1 and len(ctx.factors) == 1
+    assert repr(once) == repr(again) == repr(ci._invert(ci.WindowContext().toeplitz, x))
 
 
 BAND2 = ci.Loop.laurent([0.2 - 0.1j, 0.3, 2.5, 0.4j, 0.1 + 0.2j], -2)
@@ -729,3 +754,18 @@ def test_window_calculus_matches_the_per_mode_reference(n):
         x = ci._invert(ctx.toeplitz, ci._win_alpha(ctx, g, h, n))
         ref = _win_invert(ref_ctx, _win_alpha(ref_ctx, g, h, n))
         assert (x.u, x.v, x.dom_n, repr(x.coeff)) == (ref.u, ref.v, ref.dom_n, repr(ref.coeff))
+
+
+def test_certificate_refuses_a_pair_whose_widom_constant_is_dropped():
+    # u = z - 0.5 has an inner root, v = 2 + z an outer one: E(v, u) = 1.25,
+    # which the window chain drops (it would read 2, the tame symbol gives 2.5)
+    u, v = ci.Loop.laurent([-0.5, 1.0], 0), ci.Loop.laurent([2.0, 1.0], 0)
+    for args in ((u, v), (v, u)):
+        with pytest.raises(Unstable, match="Widom constant"):
+            ci.steinberg_pairing(*args)
+        with pytest.raises(Unstable, match="Widom constant"):
+            ci.cres_cocycle(*args)
+    # roots on one side only leave E = 1, and the value still certifies
+    w = ci.Loop.laurent([-0.3, 1.0], 0)
+    want = ci.tame_symbol_formula(u, w) ** ci.CONVENTION_EXPONENT
+    assert abs(ci.steinberg_pairing(u, w) - want) <= ci.PAIRING_REL_TOL * abs(want)

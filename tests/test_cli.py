@@ -228,6 +228,17 @@ def test_tame_stdout_does_not_depend_on_the_blas_thread_count():
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize(
+    "u, v", [("(-0.5,0):(1,0)@0", "(2,0):(1,0)@0"), ("(2,0):(0.5,0)@0", "(0.3,0):(3,0)@-1")]
+)
+def test_tame_refuses_a_pair_whose_widom_constant_is_dropped(capsys, u, v):
+    # one loop has a root inside the circle, the other one outside it
+    assert main(["tame", u, v, "--numeric", "64"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Widom constant" in captured.err
+
+
 def test_verify_command_and_determinism(capsys):
     code1, out1 = run(capsys, "verify", "--suite", "bipolar", "--trials", "4", "--seed", "3")
     code2, out2 = run(capsys, "verify", "--suite", "bipolar", "--trials", "4", "--seed", "3")

@@ -175,21 +175,21 @@ def test_window_shifted_identity():
     assert pres.ker == () and pres.coker == () and op.index() == 0
 
 
-def test_invertible_square_window_takes_singular_values_only(svd_flags):
+def test_invertible_square_window_takes_no_svd(svd_flags):
     rng = np.random.default_rng(5)
     op = DenseOp(range(9), range(9), _with_singular_values(rng, 9, 9, np.linspace(3.0, 0.1, 9)))
     pres = op.presentation()
     assert pres.ker == () and pres.coker == () and op.index() == 0
-    assert svd_flags == [False]
+    assert svd_flags == []
     assert op.coker_coords([{0: 1.0}]).shape == (0, 1)
 
 
 def test_rank_first_matches_the_full_svd_reference(monkeypatch, full_svd_decompose, svd_flags):
     rng = np.random.default_rng(6)
-    # a deficient square takes both SVDs, a rectangle the full one only
+    # a deficient square and a rectangle take one full SVD each
     DenseOp(range(8), range(8), _with_singular_values(rng, 8, 8, [1, 1, 1, 0, 0, 0, 0, 0])).index()
     DenseOp(range(6), range(9), rng.standard_normal((9, 6))).index()
-    assert svd_flags == [False, True, True]
+    assert svd_flags == [True, True]
     # a rotated rank-deficient square, then rectangles of every kind
     shapes = [(8, 8, 5), (6, 9, 6), (6, 9, 4), (9, 6, 6), (9, 6, 3), (1, 4, 1), (4, 1, 0)]
     for rows, cols, rank in shapes:
@@ -197,6 +197,41 @@ def test_rank_first_matches_the_full_svd_reference(monkeypatch, full_svd_decompo
         mat = _with_singular_values(rng, rows, cols, sv)
         mine, ref = _presentations(mat, monkeypatch, full_svd_decompose)
         assert mine == ref
+
+
+@pytest.mark.parametrize("n", [2, 8, 64, 128])
+def test_invertibility_certificate_matches_the_svd(n, monkeypatch, full_svd_decompose):
+    from detline.windows import _certified_invertible
+
+    rng = np.random.default_rng(40 + n)
+    scales = (1e-200, 1e-100, 1.0, 1e100, 1e200)
+    # the bound exceeds the condition number by a factor growing with n: the
+    # smallest ratio it certifies on these spectra
+    certifies = {2: 1e-7, 8: 1e-7, 64: 1e-5, 128: 1e-2}[n]
+    for ratio in (1e-9, 0.9e-8, 1.1e-8, 1e-7, 1e-5, 1e-2):
+        for scale in scales:
+            # singular values in [0.5, 1] apart from the smallest, ratio
+            sv = scale * np.concatenate([[1.0], rng.uniform(0.5, 1.0, n - 2), [ratio]])
+            mat = _with_singular_values(rng, n, n, sv)
+            mine, ref = _presentations(mat, monkeypatch, full_svd_decompose)
+            assert mine == ref
+            op = DenseOp(range(n), range(n), mat)
+            assert len(op.presentation().ker) == (ratio < 1e-8)
+            if ratio < 1e-8:
+                assert not _certified_invertible(mat)
+            if ratio >= certifies:
+                assert _certified_invertible(mat)
+    # below 1e-300 the cut is SVD_TOL * 1e-300 = 1e-308, not relative
+    for ratio, dim in ((1e-7, 1), (1e-2, 0)):
+        sv = 1e-303 * np.concatenate([[1.0], rng.uniform(0.5, 1.0, n - 2), [ratio]])
+        mat = _with_singular_values(rng, n, n, sv)
+        mine, ref = _presentations(mat, monkeypatch, full_svd_decompose)
+        assert mine == ref
+        assert len(DenseOp(range(n), range(n), mat).presentation().ker) == dim
+        assert _certified_invertible(mat) == (dim == 0)
+    # singular and non-finite squares are left to the SVD
+    assert not _certified_invertible(np.zeros((n, n), dtype=complex))
+    assert not _certified_invertible(np.full((n, n), np.inf + 0j))
 
 
 @pytest.mark.parametrize("ratio,dim", [(1e-9, 1), (1e-7, 0)])
