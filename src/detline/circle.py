@@ -453,5 +453,6 @@ CONVENTION_EXPONENT = -1
 
 
 def convention_exponent(window_n: int = 64) -> int:
-    """The exponent s with steinberg_pairing = tame_symbol^s; `window_n` is unused."""
+    """CONVENTION_EXPONENT; `window_n` is unused.  The signature stays for
+    bench/workloads.py, which calls it."""
     return CONVENTION_EXPONENT

@@ -26,6 +26,12 @@ from .verify import run_suite
 
 _SCALAR = r"\(\s*([\d.eE+-]+)\s*,\s*([\d.eE+-]+)\s*\)"
 
+# Longest coefficient list a loop may have.  Certifying a loop runs np.roots
+# over its whole span, at a cost cubic in the span (0.04 s at 128, 0.22 s at
+# 256, 1.3 s at 512).  A product of two capped loops also spans less than
+# circle.GRID // 2, past which its GRID-point FFT coefficients alias.
+MAX_LOOP_COEFFS = 256
+
 
 def _num(z: complex) -> dict:
     z = OutOfRange.check(z, "value")
@@ -90,6 +96,8 @@ def parse_loop(text: str) -> ci.Loop:
         coeffs = [parse_scalar(c) for c in body.split(":") if c.strip()]
         if not coeffs:
             raise ParseError("empty coefficient list")
+        if len(coeffs) > MAX_LOOP_COEFFS:
+            raise ParseError(f"{len(coeffs)} coefficients, more than {MAX_LOOP_COEFFS}")
         try:
             return ci.Loop.laurent(coeffs, k_min)
         except Uncertified as exc:
@@ -146,7 +154,7 @@ def cmd_tame(args) -> int:
     v = parse_loop(args.v)
     if args.numeric < 1:
         raise ParseError(f"window size must be positive, got {args.numeric}")
-    s = ci.convention_exponent(args.numeric)
+    s = ci.CONVENTION_EXPONENT
     pairing = ci.steinberg_pairing(u, v, window_n=args.numeric)
     integral = ci.tame_symbol_formula(u, v)
     payload = {

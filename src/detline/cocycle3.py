@@ -27,35 +27,23 @@ def _context() -> cp.Context:
     return cp.Context(_q(_E))
 
 
-@dataclass(frozen=True)
-class BetaChoice:
+def _beta(ctx: cp.Context, g: Monomial2, h: Monomial2) -> cp.HomElement:
     """The connecting element b_{g,h}: canonical frames, coefficient one."""
-
-    g: Monomial2
-    h: Monomial2
-
-    def element(self, ctx: cp.Context) -> cp.HomElement:
-        return cp.HomElement(
-            ctx, _q(self.g), _q(self.g * self.h), SigmaIndex(_E), SigmaIndex(self.g)
-        )
-
-    def degree(self, ctx: cp.Context) -> int:
-        return self.element(ctx).degree
+    return cp.HomElement(ctx, _q(g), _q(g * h), SigmaIndex(_E), SigmaIndex(g))
 
 
 def beta_degree(g: Monomial2, h: Monomial2, ctx=None) -> int:
     """Degree of the connecting isomorphism beta_{g,h}."""
-    ctx = ctx or _context()
-    return BetaChoice(g, h).degree(ctx)
+    return _beta(ctx or _context(), g, h).degree
 
 
 def cocycle_c(g: Monomial2, h: Monomial2, k: Monomial2, ctx=None) -> complex:
     """Value of the 3-cochain through the categorical pipeline."""
     ctx = ctx or _context()
-    b_gh = BetaChoice(g, h).element(ctx)
-    b_ghk = BetaChoice(g * h, k).element(ctx)
-    b_ghk_big = BetaChoice(g, h * k).element(ctx)
-    b_hk = BetaChoice(h, k).element(ctx)
+    b_gh = _beta(ctx, g, h)
+    b_ghk = _beta(ctx, g * h, k)
+    b_ghk_big = _beta(ctx, g, h * k)
+    b_hk = _beta(ctx, h, k)
 
     # decompose b_{g,hk} along q_{gh}; its first leg is b_{g,h} on the nose
     pair = cp.coproduct(b_ghk_big, _q(g * h))

@@ -27,12 +27,10 @@ from .torus import (
 )
 
 
-# Transposition schedules of Context.triv: binary composition, its dual,
-# and the ternary composition with its dual.
-COMPOSE = ((0, 1), (1, 2), (0, 2))
-COMPOSE_DAGGER = ((0, 2), (1, 2), (0, 1))
-TERNARY = ((0, 1), (1, 2), (2, 3), (0, 3))
-TERNARY_DAGGER = ((0, 3), (2, 3), (1, 2), (0, 1))
+def triv_schedule(n: int) -> tuple:
+    """Transposition schedule of Context.triv for an n-fold composition: the
+    adjacent pairs (k, k + 1), then (0, n).  Its reverse is the dual's."""
+    return tuple((k, k + 1) for k in range(n)) + ((0, n),)
 
 
 def _idem_key(p: RingIdempotent):
@@ -167,13 +165,16 @@ class Context:
 
     # -- frame compositions ------------------------------------------------------
 
+    def _frame(self, lams, e, schedule) -> complex:
+        return self.phi(lams[0], lams[-1], e) * self.triv(lams, e, schedule)
+
     def M_p(self, lam, mu, nu, p) -> complex:
         """Frame scalar of the composition in the p-indexed line category."""
-        return self.phi(lam, nu, p) * self.triv((lam, mu, nu), p, COMPOSE)
+        return self._frame((lam, mu, nu), p, triv_schedule(2))
 
     def M_q_dagger(self, lam, mu, nu, q) -> complex:
         """Frame scalar of the dual composition (arguments mu->nu, lam->mu)."""
-        return self.phi(lam, nu, q) * self.triv((lam, mu, nu), q, COMPOSE_DAGGER)
+        return self._frame((lam, mu, nu), q, triv_schedule(2)[::-1])
 
 
 def duality_psi(ctx: Context, e: RingIdempotent, lam: SigmaIndex, mu: SigmaIndex) -> complex:
@@ -212,25 +213,31 @@ def unit(ctx, p, q, lam) -> HomElement:
     return HomElement(ctx, p, q, lam, lam, 1.0 + 0.0j)
 
 
-def compose(x: HomElement, y: HomElement) -> HomElement:
-    """Composition of x: lam -> mu with y: mu -> nu in the hom category."""
+def compose(*xs: HomElement) -> HomElement:
+    """Composition of a chain x1: lam_0 -> lam_1, ..., xn: lam_{n-1} -> lam_n,
+    n >= 2, of morphisms between one pair of idempotents (p, q).
+
+    The scalar is M_p * M_q^dagger over the n-fold schedule, with the Koszul
+    sign of moving each deg_q(x_i) past every later x_j.
+    """
     if (
-        _idem_key(x.ctx.p0) != _idem_key(y.ctx.p0)
-        or _idem_key(x.p) != _idem_key(y.p)
-        or _idem_key(x.q) != _idem_key(y.q)
-        or _lam_key(x.mu) != _lam_key(y.lam)
+        len(xs) < 2
+        or len({(_idem_key(y.ctx.p0), _idem_key(y.p), _idem_key(y.q)) for y in xs}) > 1
+        or any(_lam_key(a.mu) != _lam_key(b.lam) for a, b in zip(xs, xs[1:]))
     ):
         raise IdealViolation("morphisms are not composable")
-    ctx = x.ctx
-    sign = -1.0 if (x.deg_q * (y.deg_p + y.deg_q)) % 2 else 1.0
+    x = xs[0]
+    ctx, schedule = x.ctx, triv_schedule(len(xs))
+    lams = (x.lam, *(y.mu for y in xs))
+    sign_exp = sum(a.deg_q * b.degree for i, a in enumerate(xs) for b in xs[i + 1 :])
     scalar = (
-        sign
-        * ctx.M_p(x.lam, x.mu, y.mu, x.p)
-        * ctx.M_q_dagger(x.lam, x.mu, y.mu, x.q)
-        * x.coeff
-        * y.coeff
+        (-1.0 if sign_exp % 2 else 1.0)
+        * ctx._frame(lams, x.p, schedule)
+        * ctx._frame(lams, x.q, schedule[::-1])
     )
-    return HomElement(ctx, x.p, x.q, x.lam, y.mu, scalar)
+    for y in xs:
+        scalar *= y.coeff
+    return HomElement(ctx, x.p, x.q, x.lam, lams[-1], scalar)
 
 
 def invert(x: HomElement) -> HomElement:
@@ -279,21 +286,8 @@ def compose_tensor(xs: TensorElement, ys: TensorElement) -> TensorElement:
 
 
 def ternary_compose(x: HomElement, y: HomElement, z: HomElement) -> HomElement:
-    """Three-fold composition through the four-index trivialisation."""
-    ctx = x.ctx
-    if _lam_key(x.mu) != _lam_key(y.lam) or _lam_key(y.mu) != _lam_key(z.lam):
-        raise IdealViolation("morphisms are not composable")
-    sign_exp = x.deg_q * (y.deg_p + y.deg_q + z.deg_p + z.deg_q) + y.deg_q * (
-        z.deg_p + z.deg_q
-    )
-    sign = -1.0 if sign_exp % 2 else 1.0
-    lams = (x.lam, x.mu, y.mu, z.mu)
-    mu4 = ctx.triv(lams, x.p, TERNARY)
-    mu4d = ctx.triv(lams, x.q, TERNARY_DAGGER)
-    phi_p = ctx.phi(x.lam, z.mu, x.p)
-    phi_q = ctx.phi(x.lam, z.mu, x.q)
-    scalar = sign * phi_p * mu4 * phi_q * mu4d * x.coeff * y.coeff * z.coeff
-    return HomElement(ctx, x.p, x.q, x.lam, z.mu, scalar)
+    """Three-fold composition; `compose(x, y, z)` under the name the bench times."""
+    return compose(x, y, z)
 
 
 def change_base(x: HomElement, p0_new: RingIdempotent) -> HomElement:

@@ -13,7 +13,7 @@ from . import cocycle3 as c3
 from . import coproduct as cp
 from . import fredlines
 from ._intervals import Box, BoxUnion
-from .graded import ExactTriangle, swap_epsilon, torsion_of_triangle
+from .graded import _MAPS, ExactTriangle, swap_epsilon, torsion_of_triangle
 from .lattice import FiberedLatticeOp, SlotSpace
 from .torus import (
     Monomial2,
@@ -46,48 +46,34 @@ def _check(name, err):
 # --------------------------------------------------------------------------
 
 
+def _standard_maps(r) -> dict:
+    """The six maps of ranks r in standard form, by name: each space splits as
+    the image of its incoming map plus a complement of the kernel of its
+    outgoing map."""
+    dims = {source: r[k - 1] + r[k] for k, (_, source, _) in enumerate(_MAPS)}
+    maps = {}
+    for k, (name, source, target) in enumerate(_MAPS):
+        maps[name] = np.zeros((dims[target], dims[source]), dtype=complex)
+        maps[name][range(r[k]), range(dims[source] - r[k], dims[source])] = 1.0
+    return maps
+
+
+def _conjugate(maps, iso) -> ExactTriangle:
+    """The triangle of the maps iso[target] @ m @ iso[source]^-1."""
+    return ExactTriangle(
+        **{name: iso[t] @ maps[name] @ np.linalg.inv(iso[s]) for name, s, t in _MAPS}
+    )
+
+
 def random_triangle(rng) -> ExactTriangle:
     """Random exact triangle built from a rank pattern and conjugation: each
     map has rank at most 2, so each space has dimension at most 4."""
     r = rng.integers(0, 3, size=6)
     while not r.any():
         r = rng.integers(0, 3, size=6)
-    dims = {
-        "U+": r[5] + r[0],
-        "V+": r[0] + r[1],
-        "W+": r[1] + r[2],
-        "U-": r[2] + r[3],
-        "V-": r[3] + r[4],
-        "W-": r[4] + r[5],
-    }
-
-    def std(rows, cols, rank, row_off, col_off):
-        m = np.zeros((rows, cols), dtype=complex)
-        for i in range(rank):
-            m[row_off + i, col_off + i] = 1.0
-        return m
-
-    # standard-form maps: each space splits as incoming + outgoing
-    i_p = std(dims["V+"], dims["U+"], r[0], 0, dims["U+"] - r[0])
-    q_p = std(dims["W+"], dims["V+"], r[1], 0, dims["V+"] - r[1])
-    d_p = std(dims["U-"], dims["W+"], r[2], 0, dims["W+"] - r[2])
-    i_m = std(dims["V-"], dims["U-"], r[3], 0, dims["U-"] - r[3])
-    q_m = std(dims["W-"], dims["V-"], r[4], 0, dims["V-"] - r[4])
-    d_m = std(dims["U+"], dims["W-"], r[5], 0, dims["W-"] - r[5])
-
-    g = {k: _well_conditioned(rng, v) for k, v in dims.items()}
-
-    def conj(mat, target, source):
-        return g[target] @ mat @ np.linalg.inv(g[source])
-
-    return ExactTriangle(
-        i_plus=conj(i_p, "V+", "U+"),
-        i_minus=conj(i_m, "V-", "U-"),
-        q_plus=conj(q_p, "W+", "V+"),
-        q_minus=conj(q_m, "W-", "V-"),
-        d_plus=conj(d_p, "U-", "W+"),
-        d_minus=conj(d_m, "U+", "W-"),
-    )
+    maps = _standard_maps(r)
+    g = {s: _well_conditioned(rng, maps[name].shape[1]) for name, s, _ in _MAPS}
+    return _conjugate(maps, g)
 
 
 def random_dense_chain(rng):
@@ -169,22 +155,9 @@ def suite_torsion(trials, seed):
     def naturality(rng):
         tri = random_triangle(rng)
         # each space is the domain of one map
-        iso = {
-            k: _well_conditioned(rng, m.shape[1])
-            for k, m in {
-                "U+": tri.i_plus, "U-": tri.i_minus,
-                "V+": tri.q_plus, "V-": tri.q_minus,
-                "W+": tri.d_plus, "W-": tri.d_minus,
-            }.items()
-        }
-        tri2 = ExactTriangle(
-            i_plus=iso["V+"] @ tri.i_plus @ np.linalg.inv(iso["U+"]),
-            i_minus=iso["V-"] @ tri.i_minus @ np.linalg.inv(iso["U-"]),
-            q_plus=iso["W+"] @ tri.q_plus @ np.linalg.inv(iso["V+"]),
-            q_minus=iso["W-"] @ tri.q_minus @ np.linalg.inv(iso["V-"]),
-            d_plus=iso["U-"] @ tri.d_plus @ np.linalg.inv(iso["W+"]),
-            d_minus=iso["U+"] @ tri.d_minus @ np.linalg.inv(iso["W-"]),
-        )
+        dims = {source: getattr(tri, name).shape[1] for name, source, _ in _MAPS}
+        iso = {k: _well_conditioned(rng, dims[k]) for k in ("U+", "U-", "V+", "V-", "W+", "W-")}
+        tri2 = _conjugate(vars(tri), iso)
         t = torsion_of_triangle(tri)
         t2 = torsion_of_triangle(tri2)
 
@@ -200,34 +173,14 @@ def suite_torsion(trials, seed):
     def commutativity(rng):
         ue, uo = int(rng.integers(0, 3)), int(rng.integers(0, 3))
         we, wo = int(rng.integers(0, 3)), int(rng.integers(0, 3))
-        ve, vo = ue + we, uo + wo
-
-        def block(rows, cols, kind):
-            m = np.zeros((rows, cols), dtype=complex)
-            if kind == "top":
-                for i in range(cols):
-                    m[i, i] = 1.0
-            else:
-                for i in range(cols):
-                    m[rows - cols + i, i] = 1.0
-            return m
-
-        d1 = ExactTriangle(
-            i_plus=block(ve, ue, "top"),
-            i_minus=block(vo, uo, "top"),
-            q_plus=np.hstack([np.zeros((we, ue)), np.eye(we)]),
-            q_minus=np.hstack([np.zeros((wo, uo)), np.eye(wo)]),
-            d_plus=np.zeros((uo, we)),
-            d_minus=np.zeros((ue, wo)),
-        )
-        d2 = ExactTriangle(
-            i_plus=block(ve, we, "bot"),
-            i_minus=block(vo, wo, "bot"),
-            q_plus=np.hstack([np.eye(ue), np.zeros((ue, we))]),
-            q_minus=np.hstack([np.eye(uo), np.zeros((uo, wo))]),
-            d_plus=np.zeros((wo, ue)),
-            d_minus=np.zeros((we, uo)),
-        )
+        # the split triangles U -> V -> W and W -> V -> U on one frame of
+        # V = U + W: the second lists W first, so permute V back
+        d1 = ExactTriangle(**_standard_maps((ue, we, 0, uo, wo, 0)))
+        d2_maps = _standard_maps((we, ue, 0, wo, uo, 0))
+        iso = {s: np.eye(d2_maps[name].shape[1]) for name, s, _ in _MAPS}
+        for space, u, w in (("V+", ue, we), ("V-", uo, wo)):
+            iso[space] = iso[space][[*range(w, u + w), *range(w)]]
+        d2 = _conjugate(d2_maps, iso)
         t1 = torsion_of_triangle(d1)
         t2 = torsion_of_triangle(d2)
         eps = swap_epsilon(ue - uo, we - wo)

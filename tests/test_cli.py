@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detline import circle as ci
-from detline.cli import main, parse_loop, parse_monomial2, parse_scalar
+from detline.cli import MAX_LOOP_COEFFS, main, parse_loop, parse_monomial2, parse_scalar
 from detline.errors import ParseError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -189,6 +189,7 @@ _ON_CIRCLE = f"(1,0):({-math.cos(math.pi / 4096)!r},{-math.sin(math.pi / 4096)!r
             3,
             "underflowed",
         ),
+        (["tame", "z", ":".join(["(1,0)"] * 257)], 2, "257 coefficients, more than 256"),
     ],
 )
 def test_bad_input_ends_in_a_documented_exit_code(capsys, argv, code, message):
@@ -196,6 +197,14 @@ def test_bad_input_ends_in_a_documented_exit_code(capsys, argv, code, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_a_coefficient_list_at_the_cap_parses():
+    # the cap bounds the span np.roots certifies, and products of two capped
+    # loops keep their FFT coefficients below the grid's aliasing limit
+    assert 2 * (MAX_LOOP_COEFFS - 1) < ci.GRID // 2
+    loop = parse_loop(":".join(["(1,0)", *["0"] * (MAX_LOOP_COEFFS - 2), "(0.5,0)"]))
+    assert loop.coeffs[-1] == (MAX_LOOP_COEFFS - 1, 0.5)
 
 
 @pytest.mark.parametrize(

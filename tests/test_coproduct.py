@@ -87,6 +87,28 @@ def test_associativity_and_ternary(ctx):
         assert a1.coeff == pytest.approx(a3.coeff, rel=1e-9)
 
 
+def test_triv_schedule_is_the_adjacent_pairs_then_the_outer_pair():
+    assert cp.triv_schedule(2) == ((0, 1), (1, 2), (0, 2))
+    assert cp.triv_schedule(3) == ((0, 1), (1, 2), (2, 3), (0, 3))
+    assert cp.triv_schedule(3)[::-1] == ((0, 3), (2, 3), (1, 2), (0, 1))
+
+
+def test_ternary_compose_rejects_morphisms_of_another_hom_category(ctx):
+    # z lies in the hom category of another p or q: composing it with x and y
+    # is undefined, whether nested or three-fold
+    p, qq, other = q(mono(1, 1, 1)), q(mono(1, 2, 2)), q(mono(1, 3, 2))
+    l1, l2, l3, l4 = (SigmaIndex(mono(1.0, a, 1)) for a in range(4))
+    x = cp.HomElement(ctx, p, qq, l1, l2)
+    y = cp.HomElement(ctx, p, qq, l2, l3)
+    for z in (cp.HomElement(ctx, other, qq, l3, l4), cp.HomElement(ctx, p, other, l3, l4)):
+        with pytest.raises(IdealViolation):
+            cp.compose(cp.compose(x, y), z)
+        with pytest.raises(IdealViolation):
+            cp.ternary_compose(x, y, z)
+    with pytest.raises(IdealViolation):
+        cp.compose(x)
+
+
 def test_explicit_base_change_sign(ctx):
     for n1, m1, t2, s2, r2 in [(3, 1, 2, 1, 1), (2, 0, 3, 2, 2), (4, 2, 3, 1, 1), (3, 2, 1, 2, 1)]:
         hh = SigmaIndex(mono(1.2, m1, 1))

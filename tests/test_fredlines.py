@@ -420,9 +420,9 @@ def _ref_torsion_chain(ops):
 def test_torsion_chain_composite_is_the_reduced_composite():
     from functools import reduce
 
-    from detline.coproduct import COMPOSE, TERNARY
+    from detline.coproduct import triv_schedule
 
-    for schedule in (COMPOSE, TERNARY):
+    for schedule in (triv_schedule(2), triv_schedule(3)):
         steps = [big for _, big, _ in _triv_steps(schedule)]
         chain, comp = fredlines.torsion_chain(steps)
         ref = reduce(FiberedLatticeOp.compose, reversed(steps))
@@ -445,9 +445,9 @@ def _count_calls(monkeypatch, name):
 
 
 def test_stabilization_constructs_only_the_inclusions(monkeypatch):
-    from detline.coproduct import COMPOSE
+    from detline.coproduct import triv_schedule
 
-    cases = _triv_steps(COMPOSE)
+    cases = _triv_steps(triv_schedule(2))
     want = [fredlines.stabilization(small, big, pair, pair) for small, big, pair in cases]
     built = _count_calls(monkeypatch, "__init__")
     for (small, big, pair), scalar in zip(cases, want):
@@ -460,11 +460,12 @@ def test_stabilizations_the_pipeline_skips_are_exactly_one():
     # Context.triv and change_base take each big_F step and each identity
     # extension for the block it stabilises: Gamma is decoupled from the
     # block and the slot order is kept, so the line map is 1, not roughly 1
-    from detline.coproduct import COMPOSE, COMPOSE_DAGGER, TERNARY, TERNARY_DAGGER, Context
+    from detline.coproduct import Context, triv_schedule
     from detline.torus import Monomial2, RingIdempotent, SigmaIndex
 
     one = 1.0 + 0.0j
-    for schedule in (COMPOSE, COMPOSE_DAGGER, TERNARY, TERNARY_DAGGER):
+    schedules = (triv_schedule(2), triv_schedule(3))
+    for schedule in (*schedules, *(s[::-1] for s in schedules)):
         for small, big, pair in _triv_steps(schedule):
             assert fredlines.stabilization(small, big, pair, pair) == one
         lams, p0, ps = _triv_setup(schedule)
@@ -501,9 +502,9 @@ def test_stabilization_with_swapped_slots_is_a_sign():
 
 
 def test_torsion_chain_composes_once_per_step(monkeypatch):
-    from detline.coproduct import TERNARY
+    from detline.coproduct import triv_schedule
 
-    steps = [big for _, big, _ in _triv_steps(TERNARY)]
+    steps = [big for _, big, _ in _triv_steps(triv_schedule(3))]
     composed = _count_calls(monkeypatch, "compose")
     for n in (2, 3, 4):
         before = len(composed)

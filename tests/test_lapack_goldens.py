@@ -1,7 +1,8 @@
-"""Window-pipeline bytes pinned for one numpy/OpenBLAS build.
+"""CLI and window-pipeline bytes pinned for one numpy/OpenBLAS build.
 
-The last digits of a window value depend on the LAPACK and BLAS kernels, so
-these goldens hold for the build recorded in golden/lapack_build.json only.
+The last digits of a window value, and the max_err of a verify check over
+random complex matrices, depend on the LAPACK and BLAS kernels, so these
+goldens hold for the build recorded in golden/lapack_build.json only.
 On another build every test here fails, naming both builds; re-record with
 
     PYTHONPATH=src python tests/test_lapack_goldens.py
@@ -54,6 +55,19 @@ GOLDENS = {
     "tame.json": lambda: _cli("tame", "z", "(2,0):(1,0)@0", "--numeric", "64"),
     "tame_128.json": lambda: _cli(
         "tame", "(1.3,0.2)*z^2", "(2,0):(0.4,0.1):(0.3,0)@-1", "--numeric", "128"
+    ),
+    # the README verify command and the three other suites' reference runs
+    "verify_torsion.json": lambda: _cli(
+        "verify", "--suite", "torsion", "--trials", "100", "--seed", "7"
+    ),
+    "verify_cocycle.json": lambda: _cli(
+        "verify", "--suite", "cocycle", "--trials", "3", "--seed", "5"
+    ),
+    "verify_perturbation.json": lambda: _cli(
+        "verify", "--suite", "perturbation", "--trials", "10", "--seed", "3"
+    ),
+    "verify_category.json": lambda: _cli(
+        "verify", "--suite", "category", "--trials", "3", "--seed", "2"
     ),
     "window_seed3.txt": lambda: _window_round(3),
     "window_seed9.txt": lambda: _window_round(9),
