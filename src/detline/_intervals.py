@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from ._linalg import memo
 from .errors import NotFiniteRank
 
 Bound = "int | None"
@@ -70,12 +71,12 @@ def full_box(dim: int) -> Box:
 class BoxUnion:
     """A finite union of boxes with set semantics and a canonical form."""
 
-    __slots__ = ("dim", "boxes", "_canon")
+    __slots__ = ("dim", "boxes", "_canon", "_hash")
 
     def __init__(self, dim: int, boxes=()):
         self.dim = dim
         self.boxes = tuple(b for b in boxes if not b.is_empty())
-        self._canon = None
+        self._canon = self._hash = None
 
     @classmethod
     def full(cls, dim: int) -> "BoxUnion":
@@ -94,12 +95,7 @@ class BoxUnion:
         return BoxUnion(self.dim, out)
 
     def subtract(self, other: "BoxUnion") -> "BoxUnion":
-        cells = []  # cells outside self's hull are outside self
-        for cell in _cells(self.boxes + other.boxes, _hull(self.boxes)):
-            rep = _cell_rep(cell)
-            if self.contains(rep) and not other.contains(rep):
-                cells.append(cell)
-        return BoxUnion(self.dim, cells)
+        return memo(_subtract, self.dim, self.boxes, other.boxes)
 
     def breakpoints(self, axis: int):
         return _breakpoints(self.boxes, axis)
@@ -121,10 +117,21 @@ class BoxUnion:
         )
 
     def __hash__(self):
-        return hash((self.dim, self.canonical()))
+        if self._hash is None:
+            self._hash = hash((self.dim, self.canonical()))
+        return self._hash
 
     def __repr__(self):
         return f"BoxUnion(dim={self.dim}, cells={self.canonical()!r})"
+
+
+def _subtract(dim, boxes, others):
+    cells = []  # of the joint grid, in boxes and not in others; none outside their hull
+    for cell in _cells(boxes + others, _hull(boxes)):
+        rep = _cell_rep(cell)
+        if any(b.contains(rep) for b in boxes) and not any(b.contains(rep) for b in others):
+            cells.append(cell)
+    return BoxUnion(dim, cells)
 
 
 def _breakpoints(boxes, axis):

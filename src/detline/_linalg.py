@@ -2,12 +2,35 @@
 
 from __future__ import annotations
 
+from contextvars import ContextVar
+
 import numpy as np
 
 ZERO_TOL = 1e-10
 # Relative residual up to which a least-squares solution counts as exact:
 # looser than ZERO_TOL, as it carries lstsq roundoff that grows with cond.
 SOLVE_TOL = 1e-8
+MEMO = ContextVar("MEMO")
+
+
+def _read_only(x):
+    if isinstance(x, np.ndarray):
+        x.flags.writeable = False
+    return tuple(map(_read_only, x)) if isinstance(x, (list, tuple)) else x
+
+
+def memo(kernel, *args, local=None):
+    """kernel(*args) from MEMO, the table of the Context whose builder runs,
+    else from the table `local`; keyed by the kernel and the arguments (an
+    array by shape, dtype and bytes) and stored read-only.  Else computed."""
+    table = MEMO.get(local)
+    if table is None:
+        return kernel(*args)
+    key = (kernel, *[(a.shape, a.dtype.str, a.tobytes()) if isinstance(a, np.ndarray) else a
+                     for a in args])
+    if key not in table:
+        table[key] = _read_only(kernel(*args))
+    return table[key]
 
 
 def _tol(mat):

@@ -126,6 +126,10 @@ class Loop:
     def __mul__(self, other: "Loop") -> "Loop":
         if self.is_monomial and other.is_monomial:
             return Loop.monomial(self.mu * other.mu, self.n + other.n)
+        lo, hi = (sum(x.coeffs[e][0] if x.coeffs else x.n for x in (self, other)) for e in (0, -1))
+        if lo <= -GRID // 2 or hi > GRID // 2:  # past the exponents that FFT bins read
+            raise OutOfRange(f"the product's exponents {lo}..{hi} leave [{1 - GRID // 2}, "
+                             f"{GRID // 2}], those of a GRID = {GRID}-point transform")
         a, b = self.samples, other.samples
         prod = _loop_from_fft(np.fft.fft(a * b) / len(a))
         # a product of certified loops is nonvanishing and its roots are theirs

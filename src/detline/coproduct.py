@@ -14,13 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import reduce
 
-from . import fredlines
+from . import _linalg, fredlines
 from .errors import IdealViolation
 from .lattice import FiberedLatticeOp, SlotSpace
 from .torus import (
     Monomial2,
     RingIdempotent,
     SigmaIndex,
+    F_op,
     big_F,
     big_Omega,
     sigma_region,
@@ -42,29 +43,36 @@ def _lam_key(lam: SigmaIndex):
 
 
 class Context:
-    """All hom-line computations relative to one base-point idempotent."""
+    """All hom-line computations relative to one base-point idempotent.
 
-    def __init__(self, p0: RingIdempotent, cache=None):
+    `_get` keeps what it builds in `_cache`, and builds with `_memo` as
+    `_linalg.MEMO`, the table of fibered kernel results by content (see
+    `lattice`).  Both live as long as this Context and those made `like` it."""
+
+    def __init__(self, p0: RingIdempotent, like=None):
         if p0.is_unit:
             raise IdealViolation("the base point must be a generator idempotent")
         self.p0 = p0
-        self._cache = cache if cache is not None else {}
+        self._cache, self._memo = (like._cache, like._memo) if like else ({}, {})
 
     # -- cached operator constructors ------------------------------------------
 
     def _get(self, key, builder):
         if key not in self._cache:
-            self._cache[key] = builder()
+            token = _linalg.MEMO.set(self._memo)
+            try:
+                self._cache[key] = builder()
+            finally:
+                _linalg.MEMO.reset(token)
         return self._cache[key]
 
     def F(self, lam, mu, p, q) -> FiberedLatticeOp:
         key = ("F", _lam_key(lam), _lam_key(mu), _idem_key(p), _idem_key(q))
-        from .torus import F_op
-
         return self._get(key, lambda: F_op(lam, mu, p, q))
 
     def line_deg(self, lam, mu, p, q) -> int:
-        return self.F(lam, mu, p, q).presentation().degree
+        key = ("deg", _lam_key(lam), _lam_key(mu), _idem_key(p), _idem_key(q))
+        return self._get(key, lambda: self.F(lam, mu, p, q).presentation().degree)
 
     def _extend(self, T, lams, pairs):
         """T plus, for each (i, j) in pairs, the identity from the complement
@@ -74,8 +82,7 @@ class Context:
         entries = {key: list(cells) for key, cells in T.entries.items()}
         unit = RingIdempotent.unit()
         for i, j in pairs:
-            full_c = sigma_region(lams[i], unit)
-            full_d = full_c if lams[j] == lams[i] else sigma_region(lams[j], unit)
+            full_c, full_d = (sigma_region(lams[k], unit) for k in (i, j))
             comp = full_d.subtract(dom[j][1])
             if comp != full_c.subtract(cod[i][1]):
                 raise IdealViolation("complement mismatch in stabilisation")
@@ -142,13 +149,7 @@ class Context:
         identity to the full slots, is compared by perturbation with the
         Omega chain of the reversed schedule at the base point.
         """
-        key = (
-            "triv",
-            schedule,
-            tuple(_lam_key(lam) for lam in lams),
-            _idem_key(e),
-            _idem_key(self.p0),
-        )
+        key = ("triv", schedule, *map(_lam_key, lams), _idem_key(e), _idem_key(self.p0))
 
         def build():
             p0s = tuple(self.p0 for _ in lams)
@@ -292,7 +293,7 @@ def ternary_compose(x: HomElement, y: HomElement, z: HomElement) -> HomElement:
 
 def change_base(x: HomElement, p0_new: RingIdempotent) -> HomElement:
     """Move a hom element to the category built over another base point."""
-    ctx_new = Context(p0_new, cache=x.ctx._cache)
+    ctx_new = Context(p0_new, like=x.ctx)
     lam, mu, p, q = x.lam, x.mu, x.p, x.q
 
     def half(ctx):
@@ -300,9 +301,12 @@ def change_base(x: HomElement, p0_new: RingIdempotent) -> HomElement:
         chain, comp = ctx._chain(lams, (p, q, ctx.p0), ((0, 2), (0, 1)))
         return chain, ctx._extend(comp, lams, [(1, 2)])
 
-    s_old, big_old = half(x.ctx)
-    s_new, big_new = half(ctx_new)
-    pert = fredlines.perturbation(big_old, big_new)
+    def build():
+        (s_old, big_old), (s_new, big_new) = half(x.ctx), half(ctx_new)
+        return s_old, fredlines.perturbation(big_old, big_new), s_new
+
+    key = ("base", _lam_key(lam), _lam_key(mu), *map(_idem_key, (p, q, x.ctx.p0, p0_new)))
+    s_old, pert, s_new = x.ctx._get(key, build)
     return HomElement(ctx_new, p, q, lam, mu, x.coeff * s_old * pert / s_new)
 
 
@@ -312,7 +316,7 @@ def _beta(k: Monomial2, p: RingIdempotent) -> RingIdempotent:
 
 def translate(k: Monomial2, x: HomElement) -> HomElement:
     """The conjugation isomorphism: relabel lattice data and rescale."""
-    ctx_t = Context(_beta(k, x.ctx.p0), cache=x.ctx._cache)
+    ctx_t = Context(_beta(k, x.ctx.p0), like=x.ctx)
     mult = k.mu ** (x.deg_p + x.deg_q)
     return HomElement(
         ctx_t,

@@ -52,8 +52,8 @@ class Unstable(DetlineError):
 
 
 class OutOfRange(DetlineError, ValueError):
-    """A value of C^* is zero or not finite in double precision: it overflowed
-    or underflowed."""
+    """A value of C^* is zero or not finite in double precision (it overflowed
+    or underflowed), or a loop product's exponents pass `circle.GRID`'s."""
 
     @classmethod
     def check(cls, z, what: str) -> complex:

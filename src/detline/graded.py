@@ -65,7 +65,7 @@ class ExactTriangle:
             for space, n in ((target, mat.shape[0]), (source, mat.shape[1])):
                 if dims.setdefault(space, n) != n:
                     raise NotExact(f"{name} disagrees on dim {space}: {n} != {dims[space]}")
-            pivots[name] = _linalg.rref(mat)[1]
+            pivots[name] = _linalg.memo(_linalg.rref, mat)[1]
         for (before, _, _), (name, space, _) in zip(_MAPS[-1:] + _MAPS[:-1], _MAPS):
             got = len(pivots[before]) + len(pivots[name])
             if got != dims[space]:

@@ -7,7 +7,9 @@ operator is block-diagonal over lattice fibers, and its fiber is constant on
 each cell of the grid cut at its breakpoints.  Kernels, cokernels, indices,
 trace norms and the exceptional fibers of a perturbation reduce to finite
 linear algebra once per bounded grid cell plus a certification of the
-unbounded cells.
+unbounded cells.  Inside a `coproduct.Context`, fiber eliminations, dets and
+solves and entry cells are kept, read-only, in its memo table for its life,
+keyed by kernel and array (shape, dtype, bytes) or boxes (`_linalg.memo`).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ def pt_key(pt):
 
 
 def label_key(label):
+    """Sort key of a (point, slot) label; its first part names the fiber."""
     pt, slot = label
     return (pt_key(pt), slot)
 
@@ -162,14 +165,6 @@ def _fibers_agree(a, b) -> bool:
     return dist <= FIBER_EQ_TOL or dist <= FIBER_EQ_TOL * np.abs(a).max()
 
 
-def _solve_once(solved, a, b):
-    """`_linalg.solve_exact(a, b)`, solved once per distinct system in `solved`."""
-    key = (a.shape, a.tobytes(), b.tobytes())
-    if key not in solved:
-        solved[key] = _linalg.solve_exact(a, b)
-    return solved[key]
-
-
 def _box_size(box: Box) -> int:
     return prod(hi - lo for lo, hi in box.axes)
 
@@ -197,7 +192,7 @@ class FiberedLatticeOp:
                 raise ShapeMismatch("entry index out of range")
             c_sup, d_sup = cod.slots[i].support, dom.slots[j].support
             sup = c_sup if c_sup == d_sup else c_sup.intersect(d_sup)
-            cells = _canonical_cells(list(pairs), sup)
+            cells = _linalg.memo(_canonical_cells, tuple(pairs), sup)
             if cells:
                 ents[(i, j)] = cells
         self.entries = ents
@@ -352,7 +347,7 @@ class FiberedLatticeOp:
         for _, pt, [(mat, dom_a, cod_a)] in _walk([self], bounded=False):
             if len(dom_a) != len(cod_a):
                 raise NotFredholm(f"non-square asymptotic fiber at {pt}")
-            if dom_a and abs(_linalg.det(mat)) <= SINGULAR_DET_TOL:
+            if dom_a and abs(_linalg.memo(_linalg.det, mat)) <= SINGULAR_DET_TOL:
                 raise NotFredholm(f"singular asymptotic fiber at {pt}")
 
     # -- kernel / cokernel ----------------------------------------------------
@@ -360,8 +355,8 @@ class FiberedLatticeOp:
     def presentation(self) -> Presentation:
         """Kernel basis and cokernel representatives, points in pt_key order.
 
-        The fiber of each bounded grid cell is eliminated once; the points
-        of the cell share the result.
+        The fiber of each bounded grid cell is eliminated once, and inside
+        a Context once per distinct fiber; the points of the cell share it.
         """
         if self._pres is None:
             self.certify_fredholm()
@@ -371,9 +366,9 @@ class FiberedLatticeOp:
                     continue
                 ker = [
                     [(dom_a[ix], x) for ix, x in enumerate(v) if abs(x) > COEFF_TOL]
-                    for v in _linalg.nullspace(mat)
+                    for v in _linalg.memo(_linalg.nullspace, mat)
                 ]
-                coker = [cod_a[r] for r in _linalg.coker_free_rows(mat)]
+                coker = [cod_a[r] for r in _linalg.memo(_linalg.coker_free_rows, mat)]
                 if ker or coker:
                     found.extend((p, ker, coker) for p in box.points())
             found.sort(key=lambda f: pt_key(f[0]))
@@ -427,7 +422,7 @@ class FiberedLatticeOp:
                     dtype=complex,
                 )
                 rhs = np.array([coords.get(l, 0.0) for l in labels], dtype=complex)
-                sol = _solve_once(solved, kmat, rhs)
+                sol = _linalg.memo(_linalg.solve_exact, kmat, rhs, local=solved)
                 for ix, k in enumerate(kids):
                     out[k, cix] += sol[ix]
         return out
@@ -451,17 +446,14 @@ class FiberedLatticeOp:
                 ).reshape(len(cod_a), len(kids))
                 aug = np.hstack([mat, rep_mat])
                 rhs = np.array([coords.get(i, 0.0) for i in cod_a], dtype=complex)
-                sol = _solve_once(solved, aug, rhs)
+                sol = _linalg.memo(_linalg.solve_exact, aug, rhs, local=solved)
                 for ix, k in enumerate(kids):
                     out[k, cix] += sol[len(dom_a) + ix]
         return out
 
     # -- perturbation blocks --------------------------------------------------
 
-    @staticmethod
-    def label_key(label):
-        """Sort key of a (point, slot) label; its first part names the fiber."""
-        return label_key(label)
+    label_key = staticmethod(label_key)
 
     def pert_labels(self, other: "FiberedLatticeOp", images):
         """Domain and codomain labels of the exceptional fibers of a pair.
@@ -480,7 +472,7 @@ class FiberedLatticeOp:
             if (
                 not _fibers_agree(m1, m2)
                 or len(d1) != len(c1)
-                or (d1 and abs(_linalg.det(m1)) < SINGULAR_DET_TOL)
+                or (d1 and abs(_linalg.memo(_linalg.det, m1)) < SINGULAR_DET_TOL)
             ):
                 exceptional.update(box.points())
         for coll in (p1.ker, p1.coker, p2.ker, p2.coker, images):

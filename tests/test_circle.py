@@ -8,7 +8,7 @@ import pytest
 from detline import circle as ci
 from detline import fredlines
 from detline._intervals import Box, BoxUnion
-from detline.errors import Uncertified, Unstable
+from detline.errors import OutOfRange, Uncertified, Unstable
 from detline.lattice import FiberedLatticeOp, SlotSpace
 from detline.windows import DenseOp
 
@@ -35,6 +35,20 @@ def test_loop_product_and_symbols():
     coeffs, tail = ci.symbol_coeffs(Z, ONE, band=4)
     assert coeffs[1] == pytest.approx(1.0) and abs(coeffs[0]) < 1e-12
     assert tail < 1e-10
+
+
+def test_loop_product_refuses_exponents_past_the_fft_grid():
+    # the GRID-point transform reads exponents in [1 - GRID/2, GRID/2] only:
+    # 3000..3002 came back as -1096..-1094
+    with pytest.raises(OutOfRange, match=r"exponents 3000\.\.3002 .*GRID = 4096"):
+        ci.Loop.laurent([1, 0.5], 3000) * ci.Loop.laurent([1, 0.25], 0)
+    with pytest.raises(OutOfRange, match=r"exponents -2048\.\.-2046"):
+        ci.Loop.monomial(1.0, -2048) * ci.Loop.laurent([1, 0.5, 0.25], 0)
+    # the end bins read right
+    for k_min, lo in ((2046, 2046), (-2047, -2047)):
+        prod = ci.Loop.laurent([1, 0.5], k_min) * ci.Loop.laurent([1, 0.25], 0)
+        assert [k for k, _ in prod.coeffs] == [lo, lo + 1, lo + 2]
+        assert [c for _, c in prod.coeffs] == pytest.approx([1, 0.75, 0.125])
 
 
 def test_symbol_tail_matches_generator_reference():
@@ -769,3 +783,34 @@ def test_certificate_refuses_a_pair_whose_widom_constant_is_dropped():
     w = ci.Loop.laurent([-0.3, 1.0], 0)
     want = ci.tame_symbol_formula(u, w) ** ci.CONVENTION_EXPONENT
     assert abs(ci.steinberg_pairing(u, w) - want) <= ci.PAIRING_REL_TOL * abs(want)
+
+
+def test_winding_zero_pairing_is_a_ratio_of_toeplitz_determinants():
+    # on winding-zero v the window pairing of mu z^k with v at window N is
+    # det T_N(v) / det T_{N-k}(v) exactly: scipy's Toeplitz matrices and
+    # numpy's det share no code with the pipeline
+    from scipy.linalg import toeplitz
+
+    rng = np.random.default_rng(3)
+
+    def polar(r):
+        return r * np.exp(2j * np.pi * rng.random())
+
+    def det_t(coeffs, n):  # coeffs of z^-2 .. z^2
+        col = [coeffs[2 + m] if m <= 2 else 0 for m in range(n)]
+        row = [coeffs[2 - m] if m <= 2 else 0 for m in range(n)]
+        return np.linalg.det(toeplitz(col, row))
+
+    for i in range(12):
+        inner = [polar(rng.uniform(0.5, 0.8)) for _ in range(2)]
+        outer = [polar(rng.uniform(1.3, 2.0)) for _ in range(2)]
+        # c prod(1 - a/z) prod(1 - z/b), ascending from z^-2
+        poly_out = np.poly(outer)[::-1] * np.prod(-1.0 / np.array(outer))
+        coeffs = polar(rng.uniform(0.5, 2.0)) * np.convolve(np.poly(inner)[::-1], poly_out)
+        v = ci.Loop.laurent(list(coeffs), -2)
+        assert ci.winding_number(v) == 0
+        k, mu = 1 + i % 3, polar(rng.uniform(0.5, 2.0))
+        for n in (20, 28):
+            got = ci.steinberg_pairing(ci.Loop.monomial(mu, k), v, n, certify=False)
+            want = det_t(coeffs, n) / det_t(coeffs, n - k)
+            assert abs(got - want) <= 1e-12 * abs(want), (i, k, n)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from detline import _linalg
 from detline import coproduct as cp
 from detline.errors import IdealViolation
 from detline.lattice import FiberedLatticeOp, SlotSpace, label_key
@@ -199,3 +200,80 @@ def test_module_level_duality_wrappers(ctx):
     lam, mu = SigmaIndex(mono(1, 1, 0)), SigmaIndex(mono(1, 3, 2))
     e = q(mono(1, 2, 2))
     assert ctx.phi(lam, mu, e) * cp.duality_psi(ctx, e, lam, mu) == pytest.approx(1.0)
+
+
+# -- the Context's memo table ---------------------------------------------------
+
+
+def _category_round(ctx):
+    """A few category operations: compositions, a coproduct, a base change
+    and a group action, all on ctx."""
+    lams = [SigmaIndex(mono(1.0, a, b)) for a, b in ((0, 1), (1, 1), (2, 0))]
+    p, r, e = q(mono(1.0, 1, 2)), q(mono(1.0, 2, 1)), q(mono(1.0, 3, 2))
+    x = cp.HomElement(ctx, p, r, lams[0], lams[1], 1.5)
+    y = cp.HomElement(ctx, p, r, lams[1], lams[2], 0.5j)
+    return (
+        cp.compose(x, y).coeff,
+        cp.coproduct(x, e).overall(),
+        cp.change_base(x, q(mono(1.0, 1, 1))).coeff,
+        cp.group_act(mono(2.0, 1, 0), y).coeff,
+    )
+
+
+def _counted_eliminations(monkeypatch):
+    """Calls of the two per-fiber eliminations, by fiber bytes."""
+    seen = []
+    for name in ("nullspace", "coker_free_rows"):
+        real = getattr(_linalg, name)
+
+        def counted(mat, real=real, name=name):
+            seen.append((name, mat.shape, mat.tobytes()))
+            return real(mat)
+
+        monkeypatch.setattr(_linalg, name, counted)
+    return seen
+
+
+def test_each_context_eliminates_each_fiber_once(monkeypatch):
+    seen = _counted_eliminations(monkeypatch)
+    first = _category_round(cp.Context(q(E)))
+    once = list(seen)
+    assert once and len(once) == len(set(once))
+    # a fresh Context keeps nothing of the last one: it eliminates as often
+    seen.clear()
+    assert _category_round(cp.Context(q(E))) == first
+    assert seen == once
+
+
+def test_memoised_results_are_shared_and_read_only():
+    ctx = cp.Context(q(E))
+    mat = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
+    rhs = np.array([1.0, 2.0], dtype=complex)
+
+    def build():
+        return [_linalg.memo(_linalg.nullspace, mat) for _ in range(2)] + [
+            _linalg.memo(_linalg.solve_exact, mat.copy(), rhs)
+        ]
+
+    kern, again, sol = ctx._get("probe", build)
+    assert kern is again and len(kern) == 1 and len(ctx._memo) == 2
+    for arr in (kern[0], sol):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    # outside a builder the kernel runs and its result stays writable
+    fresh = _linalg.memo(_linalg.nullspace, mat)
+    fresh[0][0] = 0.0
+    assert len(ctx._memo) == 2
+
+
+def test_paths_outside_a_context_store_nothing():
+    from detline import circle as ci
+
+    ctx = cp.Context(q(E))
+    _category_round(ctx)
+    stored = dict(ctx._memo)
+    assert stored and _linalg.MEMO.get(None) is None
+    assert ci.cres_cochain_base(ci.Loop.monomial(2.0, 1), ci.Loop.monomial(0.5j, 2), 3) != 0
+    v = ci.Loop.laurent([0.3, 2.0, 0.5], -1)
+    assert ci.steinberg_pairing(ci.Loop.monomial(1.0, 1), v, 32) != 0
+    assert ctx._memo.keys() == stored.keys() and _linalg.MEMO.get(None) is None

@@ -7,8 +7,9 @@ On another build every test here fails, naming both builds; re-record with
 
     PYTHONPATH=src python tests/test_lapack_goldens.py
 
-The window rounds run as the benchmark runs them: through bench/workloads.py,
-on one BLAS thread.
+The window, cocycle3 and category rounds run as the benchmark runs them:
+through bench/workloads.py, one `new_round()` state per round, on one BLAS
+thread.
 """
 
 import json
@@ -29,12 +30,13 @@ CHILD_ENV = {
     "OPENBLAS_NUM_THREADS": "1",
     "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
 }
-WINDOW_ROUND = """import sys
+ROUND = """import sys
 sys.path.insert(0, sys.argv[1])
 import workloads
-wl = workloads.WORKLOADS["window"](int(sys.argv[2]))
+wl = workloads.WORKLOADS[sys.argv[2]](int(sys.argv[3]))
+state = wl.new_round()
 for args in wl.ops:
-    print(repr(wl.call(None, args)))
+    print(repr(wl.call(state, args)))
 """
 
 
@@ -46,8 +48,8 @@ def _cli(*argv) -> bytes:
     return _run(sys.executable, "-m", "detline.cli", *argv)
 
 
-def _window_round(seed) -> bytes:
-    return _run(sys.executable, "-c", WINDOW_ROUND, str(ROOT / "bench"), str(seed))
+def _round(workload, seed) -> bytes:
+    return _run(sys.executable, "-c", ROUND, str(ROOT / "bench"), workload, str(seed))
 
 
 GOLDENS = {
@@ -69,8 +71,11 @@ GOLDENS = {
     "verify_category.json": lambda: _cli(
         "verify", "--suite", "category", "--trials", "3", "--seed", "2"
     ),
-    "window_seed3.txt": lambda: _window_round(3),
-    "window_seed9.txt": lambda: _window_round(9),
+    **{
+        f"{workload}_seed{seed}.txt": lambda w=workload, s=seed: _round(w, s)
+        for workload in ("window", "cocycle3", "category")
+        for seed in (3, 9)
+    },
 }
 
 
