@@ -1,7 +1,10 @@
-"""Tolerant exact-ish linear algebra helpers used by the line calculus."""
+"""Tolerant exact-ish linear algebra helpers used by the line calculus, and
+their memo: `memo_table` activates a table for a block, and inside it `memo`
+computes each kernel once per distinct argument list."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from contextvars import ContextVar
 
 import numpy as np
@@ -10,7 +13,7 @@ ZERO_TOL = 1e-10
 # Relative residual up to which a least-squares solution counts as exact:
 # looser than ZERO_TOL, as it carries lstsq roundoff that grows with cond.
 SOLVE_TOL = 1e-8
-MEMO = ContextVar("MEMO")
+MEMO = ContextVar("MEMO", default=None)
 
 
 def _read_only(x):
@@ -19,11 +22,21 @@ def _read_only(x):
     return tuple(map(_read_only, x)) if isinstance(x, (list, tuple)) else x
 
 
-def memo(kernel, *args, local=None):
-    """kernel(*args) from MEMO, the table of the Context whose builder runs,
-    else from the table `local`; keyed by the kernel and the arguments (an
-    array by shape, dtype and bytes) and stored read-only.  Else computed."""
-    table = MEMO.get(local)
+@contextmanager
+def memo_table(table=None):
+    """Run the block with `table`, else a fresh dict, as the active MEMO."""
+    token = MEMO.set({} if table is None else table)
+    try:
+        yield
+    finally:
+        MEMO.reset(token)
+
+
+def memo(kernel, *args):
+    """kernel(*args) from the active MEMO table, keyed by the kernel and the
+    arguments (an array by shape, dtype and bytes) and stored read-only;
+    computed directly when no table is active."""
+    table = MEMO.get()
     if table is None:
         return kernel(*args)
     key = (kernel, *[(a.shape, a.dtype.str, a.tobytes()) if isinstance(a, np.ndarray) else a

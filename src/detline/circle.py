@@ -4,7 +4,8 @@ Monomial loops are handled exactly by the fibered d=1 calculus (Hardy
 projections become half-line indicators).  General nonvanishing Laurent
 loops run through windowed Toeplitz compressions in the translation
 gauge.  Both modes share one morphism calculus; only the factory that
-builds a morphism's operator differs.
+builds a morphism's operator differs.  A window chain runs under a fresh
+`_linalg.memo_table`, so it composes each pair of its windows once.
 
 A Laurent loop is its roots, c z^w prod(1 - a/z) prod(1 - z/b) with |a| < 1 < |b|:
 they certify nonvanishing, give the winding w and the tame symbol in closed form,
@@ -19,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import fredlines
+from . import _linalg, fredlines
 from ._intervals import Box, BoxUnion
 from .errors import OutOfRange, Uncertified, Unstable
 from .lattice import FiberedLatticeOp, SlotSpace
@@ -180,29 +181,26 @@ class _Mor:
     coeff: complex
 
 
-def _compose(op, x: _Mor, y: _Mor, memo=None) -> _Mor:
-    """y o x, scaled by the torsion of the composition and its perturbation.
+def _compose_factors(op, u: Loop, v: Loop, w: Loop, dom_n: int, mid_n: int):
+    """The torsion of composing op(u, v, dom_n) with op(v, w, mid_n), and the
+    perturbation from that composition to op(u, w, dom_n)."""
+    T, S = op(u, v, dom_n), op(v, w, mid_n)
+    comp = S.compose(T)
+    return fredlines.torsion(T, S, comp), fredlines.perturbation(comp, op(u, w, dom_n))
 
-    The two factors depend on the maps' objects and windows only; `memo`, a
-    `WindowContext.factors`, keeps them, so a chain that composes the same
-    two windows twice composes them once.
-    """
+
+def _compose(op, x: _Mor, y: _Mor) -> _Mor:
+    """y o x, scaled by the torsion of the composition and its perturbation:
+    `_compose_factors`, computed once per memo table for each pair of maps."""
     assert x.v == y.u
-    memo = {} if memo is None else memo
-    key = (x.u, x.v, y.v, x.dom_n, y.dom_n)
-    if key not in memo:
-        T, S = op(x.u, x.v, x.dom_n), op(y.u, y.v, y.dom_n)
-        comp = S.compose(T)
-        tors = fredlines.torsion(T, S, comp)
-        memo[key] = tors, fredlines.perturbation(comp, op(x.u, y.v, x.dom_n))
-    tors, pert = memo[key]
+    tors, pert = _linalg.memo(_compose_factors, op, x.u, x.v, y.v, x.dom_n, y.dom_n)
     return _Mor(x.u, y.v, x.dom_n, x.coeff * y.coeff * tors * pert)
 
 
-def _invert(op, x: _Mor, memo=None) -> _Mor:
+def _invert(op, x: _Mor) -> _Mor:
     """The inverse v -> u; its domain window is the codomain window of x."""
     probe = _Mor(x.v, x.u, x.dom_n + winding_number(x.u) - winding_number(x.v), 1.0 + 0.0j)
-    return replace(probe, coeff=1.0 / _compose(op, x, probe, memo).coeff)
+    return replace(probe, coeff=1.0 / _compose(op, x, probe).coeff)
 
 
 # --------------------------------------------------------------------------
@@ -229,36 +227,12 @@ def _mono_act(g: Loop, x: _Mor) -> _Mor:
     return _mono(x.u.n + g.n, x.v.n + g.n, x.coeff * g.mu**deg)
 
 
-def cres_cochain_base(g: Loop, h: Loop, base: int, twist=None) -> complex:
-    """The monomial-mode cochain from an alternative base object z^base.
-
-    `twist` optionally rescales the chosen isomorphisms, g -> C^*.
-    """
-    tw = twist or (lambda _g: 1.0)
-    gh = g * h
-    a_gh = _mono(base, base + gh.n, tw(gh))
-    a_h = _mono(base, base + h.n, tw(h))
-    a_g = _mono(base, base + g.n, tw(g))
+def cres_cochain_base(g: Loop, h: Loop) -> complex:
+    """The monomial-mode cochain on the base object z^0: the value of the
+    loop alpha_g^{-1} o g(alpha_h^{-1}) o alpha_gh."""
+    a_gh, a_h, a_g = (_mono(0, x.n, 1.0) for x in (g * h, h, g))
     gah_inv = _mono_act(g, _invert(_mor_op, a_h))
     loop = _compose(_mor_op, _compose(_mor_op, a_gh, gah_inv), _invert(_mor_op, a_g))
-    assert loop.u == loop.v == Loop.monomial(1.0, base)
-    return complex(loop.coeff)
-
-
-def base_change_cochain(g: Loop, base: int, twist=None) -> complex:
-    """One-cochain comparing the base-object choices z^0 and z^base.
-
-    Computed as the value of alpha_g^{-1} o g(phi^{-1}) o beta_g o phi,
-    an automorphism of the unit object; `twist` rescales beta_g.
-    """
-    tw = twist or (lambda _g: 1.0)
-    phi = _mono(0, base, 1.0 + 0.0j)
-    beta_g = _mono(base, base + g.n, tw(g))
-    g_phi_inv = _mono_act(g, _invert(_mor_op, phi))
-    a_g_inv = _invert(_mor_op, _mono(0, g.n, 1.0 + 0.0j))
-    loop = phi
-    for x in (beta_g, g_phi_inv, a_g_inv):
-        loop = _compose(_mor_op, loop, x)
     assert loop.u == loop.v == Loop.monomial(1.0, 0)
     return complex(loop.coeff)
 
@@ -269,12 +243,11 @@ def base_change_cochain(g: Loop, base: int, twist=None) -> complex:
 
 
 class WindowContext:
-    """Windowed Toeplitz compressions with chained rectangular windows, and
-    the (torsion, perturbation) factors of each composition of two of them."""
+    """Windowed Toeplitz compressions with chained rectangular windows, each
+    built once per context."""
 
     def __init__(self):
         self._ops = {}
-        self.factors = {}
 
     def toeplitz(self, u: Loop, v: Loop, dom_n: int) -> DenseOp:
         """Compression of v^{-1} u between Hardy windows [0, dom_n) and
@@ -297,26 +270,20 @@ class WindowContext:
             self._ops[key] = DenseOp(list(range(dom_n)), list(range(cod_n)), mat)
         return self._ops[key]
 
-    def completed(self, op: DenseOp):
-        """op plus the canonical kernel-to-cokernel matcher, as a matrix.
-
-        The matcher sends the j-th kernel frame vector to the j-th cokernel
-        representative through the dual functionals of the kernel frame.
-        """
-        pres = op.presentation()
-        return fredlines.completed(op, op.dom_labels, op.cod_labels, pres.ker, pres.coker)
-
 
 def _win_alpha(ctx: WindowContext, u: Loop, v: Loop, dom_n: int) -> _Mor:
     """The chosen isomorphism u -> v evaluated in its window line.
 
-    Index-zero case: perturbation from the inverse of the completed
-    compression of v^{-1} u; otherwise the canonical frame element.
+    Index-zero case: perturbation from the inverse of the compression of
+    u^{-1} v completed by its canonical kernel-to-cokernel matcher; otherwise
+    the canonical frame element.
     """
     op = ctx.toeplitz(u, v, dom_n)
     if winding_number(u) == winding_number(v):
         sym = ctx.toeplitz(v, u, dom_n)  # compression of u^{-1} v
-        inv = DenseOp(op.dom_labels, op.cod_labels, np.linalg.inv(ctx.completed(sym)))
+        pres = sym.presentation()
+        full = fredlines.completed(sym, sym.dom_labels, sym.cod_labels, pres.ker, pres.coker)
+        inv = DenseOp(op.dom_labels, op.cod_labels, np.linalg.inv(full))
         return _Mor(u, v, dom_n, fredlines.perturbation(inv, op))
     return _Mor(u, v, dom_n, 1.0 + 0.0j)
 
@@ -374,36 +341,24 @@ def _certify_window(u: Loop, v: Loop, window_n: int, n_min: int) -> None:
 
 
 def _cres_window(g: Loop, h: Loop, n: int) -> complex:
+    """The window cochain, its chain run under a fresh `_linalg.memo_table`."""
     ctx = WindowContext()
-    op, memo = ctx.toeplitz, ctx.factors
+    op = ctx.toeplitz
     one = Loop.monomial(1.0, 0)
     gh = g * h
     _smallest_window(g, h, n)  # Uncertified below a winding number
-    # chain 1 -> gh -> g -> 1 with matching windows
-    a_gh = _win_alpha(ctx, one, gh, n)
-    # Known defect: on winding-zero pairs every window is N x N and `_compose`
-    # multiplies finite sections, whose Widom far-corner term W_N H(a~)H(b) W_N
-    # mirrors the true one: the cochain is symmetric and the pairing reads 1.
-    g_ah = _win_alpha(ctx, g, gh, n - winding_number(g))
-    step1 = _compose(op, a_gh, _invert(op, g_ah, memo), memo)
-    # the last step repeats the composition of inverting alpha_g: memo hit
-    loop = _compose(op, step1, _invert(op, _win_alpha(ctx, one, g, n), memo), memo)
+    with _linalg.memo_table():
+        # chain 1 -> gh -> g -> 1 with matching windows
+        a_gh = _win_alpha(ctx, one, gh, n)
+        # Known defect: on winding-zero pairs every window is N x N and `_compose`
+        # multiplies finite sections, whose Widom far-corner term W_N H(a~)H(b) W_N
+        # mirrors the true one: the cochain is symmetric and the pairing reads 1.
+        g_ah = _win_alpha(ctx, g, gh, n - winding_number(g))
+        step1 = _compose(op, a_gh, _invert(op, g_ah))
+        # the last step repeats the composition of inverting alpha_g: memo hit
+        loop = _compose(op, step1, _invert(op, _win_alpha(ctx, one, g, n)))
     assert loop.u == loop.v == one
     return complex(loop.coeff)
-
-
-def m_uni(g: Loop, h: Loop, n: int) -> complex:
-    """Fredholm-determinant cocycle for index-zero loops on a window; its square
-    sections carry `_cres_window`'s far-corner defect unless g, h are analytic."""
-    if winding_number(g) or winding_number(h):
-        raise Uncertified("the determinant formula needs index-zero loops")
-    ctx = WindowContext()
-    one = Loop.monomial(1.0, 0)
-    Dg = ctx.completed(ctx.toeplitz(g, one, n))
-    Dh = ctx.completed(ctx.toeplitz(h, one, n))
-    Dgh = ctx.completed(ctx.toeplitz(g * h, one, n))
-    val = np.linalg.det(Dgh @ np.linalg.inv(Dh) @ np.linalg.inv(Dg))
-    return complex(val)
 
 
 # --------------------------------------------------------------------------
@@ -416,7 +371,7 @@ def cres_cocycle(g: Loop, h: Loop, window_n: int = 64, certify: bool = True) -> 
     windowed value is certified by `_certify_window` first, unless `certify`
     is false."""
     if g.is_monomial and h.is_monomial:
-        return cres_cochain_base(g, h, 0)
+        return cres_cochain_base(g, h)
     if certify:
         _certify_window(g, h, window_n, _smallest_window(g, h, window_n))
     try:

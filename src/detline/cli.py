@@ -118,7 +118,7 @@ def cmd_cocycle3(args) -> int:
     }
     if min(g.a, g.b, h.a, h.b, k.a, k.b) >= 0:
         cf = c3.closed_form(g, h, k)
-        agree = abs(value - cf) <= 1e-9 * max(abs(cf), 1e-300)
+        agree = abs(value - cf) <= c3.AGREE_TOL * max(abs(cf), 1e-300)
         payload["closed_form"] = _num(cf)
         payload["agree"] = bool(agree)
     else:

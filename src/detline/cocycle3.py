@@ -17,6 +17,9 @@ from .errors import ExponentRange
 from .torus import Monomial2, RingIdempotent, SigmaIndex
 
 _E = Monomial2.one()
+# Relative difference up to which two 3-cochain values agree (pipeline and closed form, or
+# the relation's two sides): each carries a few dozen eliminations' ~1e-14 roundoff.
+AGREE_TOL = 1e-9
 
 
 def _q(u: Monomial2) -> RingIdempotent:
@@ -107,7 +110,7 @@ def verify_relation(
         "rhs": rhs,
         "sign_exponent": sign_exponent,
         "residual": residual,
-        "passed": residual <= 1e-9,
+        "passed": residual <= AGREE_TOL,
     }
 
 

@@ -45,8 +45,8 @@ def _lam_key(lam: SigmaIndex):
 class Context:
     """All hom-line computations relative to one base-point idempotent.
 
-    `_get` keeps what it builds in `_cache`, and builds with `_memo` as
-    `_linalg.MEMO`, the table of fibered kernel results by content (see
+    `_get` keeps what it builds in `_cache`, and builds under
+    `_linalg.memo_table(_memo)`, the fibered kernel results by content (see
     `lattice`).  Both live as long as this Context and those made `like` it."""
 
     def __init__(self, p0: RingIdempotent, like=None):
@@ -59,11 +59,8 @@ class Context:
 
     def _get(self, key, builder):
         if key not in self._cache:
-            token = _linalg.MEMO.set(self._memo)
-            try:
+            with _linalg.memo_table(self._memo):
                 self._cache[key] = builder()
-            finally:
-                _linalg.MEMO.reset(token)
         return self._cache[key]
 
     def F(self, lam, mu, p, q) -> FiberedLatticeOp:

@@ -7,9 +7,10 @@ operator is block-diagonal over lattice fibers, and its fiber is constant on
 each cell of the grid cut at its breakpoints.  Kernels, cokernels, indices,
 trace norms and the exceptional fibers of a perturbation reduce to finite
 linear algebra once per bounded grid cell plus a certification of the
-unbounded cells.  Inside a `coproduct.Context`, fiber eliminations, dets and
-solves and entry cells are kept, read-only, in its memo table for its life,
-keyed by kernel and array (shape, dtype, bytes) or boxes (`_linalg.memo`).
+unbounded cells.  Under an active `_linalg.memo_table` (a `coproduct.Context`
+builds under its own, for its life) each distinct fiber elimination, det,
+solve and entry-cell set is computed once and kept read-only, keyed by kernel
+and array (shape, dtype, bytes) or boxes; outside one it is computed directly.
 """
 
 from __future__ import annotations
@@ -405,7 +406,6 @@ class FiberedLatticeOp:
         pres = self.presentation()
         out = np.zeros((len(pres.ker), len(vecs)), dtype=complex)
         ker_by_pt = _index_by_point(pres.ker)
-        solved = {}
         for cix, v in enumerate(vecs):
             by_pt = {}
             for (pt, slot), c in v.items():
@@ -422,7 +422,7 @@ class FiberedLatticeOp:
                     dtype=complex,
                 )
                 rhs = np.array([coords.get(l, 0.0) for l in labels], dtype=complex)
-                sol = _linalg.memo(_linalg.solve_exact, kmat, rhs, local=solved)
+                sol = _linalg.memo(_linalg.solve_exact, kmat, rhs)
                 for ix, k in enumerate(kids):
                     out[k, cix] += sol[ix]
         return out
@@ -432,7 +432,6 @@ class FiberedLatticeOp:
         pres = self.presentation()
         out = np.zeros((len(pres.coker), len(vecs)), dtype=complex)
         coker_by_pt = _index_by_point(pres.coker)
-        solved = {}
         for cix, v in enumerate(vecs):
             by_pt = {}
             for (pt, slot), c in v.items():
@@ -446,7 +445,7 @@ class FiberedLatticeOp:
                 ).reshape(len(cod_a), len(kids))
                 aug = np.hstack([mat, rep_mat])
                 rhs = np.array([coords.get(i, 0.0) for i in cod_a], dtype=complex)
-                sol = _linalg.memo(_linalg.solve_exact, aug, rhs, local=solved)
+                sol = _linalg.memo(_linalg.solve_exact, aug, rhs)
                 for ix, k in enumerate(kids):
                     out[k, cix] += sol[len(dom_a) + ix]
         return out

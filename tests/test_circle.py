@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from detline import circle as ci
-from detline import fredlines
+from detline import _linalg, fredlines
 from detline._intervals import Box, BoxUnion
 from detline.errors import OutOfRange, Uncertified, Unstable
 from detline.lattice import FiberedLatticeOp, SlotSpace
@@ -85,7 +85,7 @@ def test_window_matches_monomial_pairing():
         (ci.Loop.monomial(2.0, 2), ci.Loop.monomial(0.5, -1)),
     ]
     for u, v in pairs:
-        pf = ci.cres_cochain_base(u, v, 0) / ci.cres_cochain_base(v, u, 0)
+        pf = ci.cres_cochain_base(u, v) / ci.cres_cochain_base(v, u)
         pw = ci._cres_window(u, v, 48) / ci._cres_window(v, u, 48)
         assert pw == pytest.approx(pf, rel=1e-7)
 
@@ -100,7 +100,7 @@ def test_window_pairing_pinned_to_monomial_mode(wu, wv, n):
     # not depend on the window size (a drift check between two wrong
     # windows would not notice, so every window is pinned to the oracle)
     u, v = ci.Loop.monomial(2.0, wu), ci.Loop.monomial(0.5, wv)
-    pf = ci.cres_cochain_base(u, v, 0) / ci.cres_cochain_base(v, u, 0)
+    pf = ci.cres_cochain_base(u, v) / ci.cres_cochain_base(v, u)
     pw = ci._cres_window(u, v, n) / ci._cres_window(v, u, n)
     assert pw == pytest.approx(pf, rel=1e-7)
 
@@ -119,7 +119,7 @@ def test_window_pairing_independent_of_blas_threads():
         "print(repr(ci._cres_window(u, v, 80) / ci._cres_window(v, u, 80)))\n"
     )
     u, v = ci.Loop.monomial(2.0, 2), ci.Loop.monomial(0.5, -1)
-    exact = ci.cres_cochain_base(u, v, 0) / ci.cres_cochain_base(v, u, 0)
+    exact = ci.cres_cochain_base(u, v) / ci.cres_cochain_base(v, u)
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -147,7 +147,7 @@ def test_completion_sends_kernel_frame_to_cokernel_frame():
     pres = op.presentation()
     kmat = np.array([[k.get(l, 0.0) for k in pres.ker] for l in labels])
     rmat = np.array([[c.get(l, 0.0) for c in pres.coker] for l in labels])
-    full = ci.WindowContext().completed(op)
+    full = fredlines.completed(op, labels, labels, pres.ker, pres.coker)
     assert np.allclose(full @ kmat, rmat, atol=1e-9)
     # off the kernel the completion is the operator itself
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -155,11 +155,26 @@ def test_completion_sends_kernel_frame_to_cokernel_frame():
     assert np.allclose(full @ x, a @ x, atol=1e-9)
 
 
-def test_m_uni_cross_check():
-    g = ci.Loop.laurent([2.0, 1.0], 0)
-    h = ci.Loop.laurent([3.0, 0.5 + 0.2j], 0)
+def _toeplitz_det(coeffs, k_min, n):
+    """det of the n x n Toeplitz matrix (c_{j-k}) of the loop sum_i coeffs[i]
+    z^(k_min + i), indexed with numpy alone: it shares no code with the
+    pipeline."""
+    c = np.zeros(2 * n - 1, dtype=complex)  # c_{1-n} .. c_{n-1}
+    for i, x in enumerate(coeffs):
+        if abs(k_min + i) < n:
+            c[k_min + i + n - 1] = x
+    return np.linalg.det(c[np.subtract.outer(np.arange(n), np.arange(n)) + n - 1])
+
+
+def test_analytic_window_cocycle_is_a_toeplitz_determinant_ratio():
+    # on analytic index-zero loops the window cochain is
+    # det T_N(gh) / (det T_N(g) det T_N(h)); T_N(gh) = T_N(g) T_N(h) for
+    # analytic symbols, so both read 1 up to roundoff
+    g_c, h_c = [2.0, 1.0], [3.0, 0.5 + 0.2j]
+    g, h = ci.Loop.laurent(g_c, 0), ci.Loop.laurent(h_c, 0)
     cw = ci.cres_cocycle(g, h, window_n=64)
-    assert cw == pytest.approx(ci.m_uni(g, h, 64), rel=1e-7)
+    dets = [_toeplitz_det(c, 0, 64) for c in (np.convolve(g_c, h_c), g_c, h_c)]
+    assert cw == pytest.approx(dets[0] / (dets[1] * dets[2]), rel=1e-7)
 
 
 def _from_roots(c, w, inner, outer):
@@ -418,9 +433,9 @@ def test_cohomologous_stability():
         g, h = (ci.Loop.monomial(_random_scalar(rng), int(rng.integers(-2, 3))) for _ in "gh")
         base = int(rng.integers(-2, 3))
         tw = _twist(100 + t)
-        c0 = ci.cres_cochain_base(g, h, 0)
-        c1 = ci.cres_cochain_base(g, h, base, tw)
-        b = lambda x: ci.base_change_cochain(x, base, tw)
+        c0 = ci.cres_cochain_base(g, h)
+        c1 = _ref_cres_cochain_base(g, h, base, tw)
+        b = lambda x: _ref_base_change_cochain(x, base, tw)
         assert c0 / c1 == pytest.approx(b(g) * b(h) / b(g * h), rel=1e-9)
 
 
@@ -515,14 +530,31 @@ def test_pairing_composes_each_window_pair_once_per_context(monkeypatch):
     assert len(pairs) == 6
     assert len({(id(S), id(T)) for S, T in pairs}) == 6
 
-    # the memo keeps the factors of each composition, bit for bit
+    # an active table keeps the factors of each composition, bit for bit
     pairs.clear()
-    ctx = ci.WindowContext()
+    ctx, table = ci.WindowContext(), {}
     x = ci._win_alpha(ctx, ONE, v, 64)
-    once = ci._invert(ctx.toeplitz, x, ctx.factors)
-    again = ci._invert(ctx.toeplitz, x, ctx.factors)
-    assert len(pairs) == 1 and len(ctx.factors) == 1
+    with _linalg.memo_table(table):
+        once = ci._invert(ctx.toeplitz, x)
+        again = ci._invert(ctx.toeplitz, x)
+    assert len(pairs) == 1 and [k[0] for k in table].count(ci._compose_factors) == 1
     assert repr(once) == repr(again) == repr(ci._invert(ci.WindowContext().toeplitz, x))
+    assert len(pairs) == 2  # with no active table it composes again
+
+
+def test_a_window_chain_that_raises_leaves_no_table_active(monkeypatch):
+    real = ci._win_alpha
+
+    def fails_on_the_second(ctx, u, v, n):
+        if ctx._ops:
+            raise np.linalg.LinAlgError("injected")
+        return real(ctx, u, v, n)
+
+    monkeypatch.setattr(ci, "_win_alpha", fails_on_the_second)
+    v = ci.Loop.laurent([0.3, 2.0, 0.5], -1)
+    with pytest.raises(Unstable, match="injected"):
+        ci.cres_cocycle(Z, v, 64, certify=False)
+    assert _linalg.MEMO.get() is None
 
 
 BAND2 = ci.Loop.laurent([0.2 - 0.1j, 0.3, 2.5, 0.4j, 0.1 + 0.2j], -2)
@@ -693,7 +725,9 @@ def _win_alpha(ctx, u, v, dom_n):
     op = ctx.toeplitz(u, v, dom_n)
     if ci.winding_number(u) == ci.winding_number(v):
         sym = ctx.toeplitz(v, u, dom_n)
-        inv = DenseOp(op.dom_labels, op.cod_labels, np.linalg.inv(ctx.completed(sym)))
+        pres = sym.presentation()
+        full = fredlines.completed(sym, sym.dom_labels, sym.cod_labels, pres.ker, pres.coker)
+        inv = DenseOp(op.dom_labels, op.cod_labels, np.linalg.inv(full))
         return _WinMor(u, v, dom_n, fredlines.perturbation(inv, op))
     return _WinMor(u, v, dom_n, 1.0 + 0.0j)
 
@@ -741,11 +775,7 @@ def test_monomial_calculus_matches_the_per_mode_reference():
     for t in range(10):
         g, h = (ci.Loop.monomial(_random_scalar(rng), int(rng.integers(-3, 4))) for _ in "gh")
         base = int(rng.integers(-2, 3))
-        for tw in (None, _twist(200 + t)):
-            got = ci.cres_cochain_base(g, h, base, tw)
-            assert repr(got) == repr(_ref_cres_cochain_base(g, h, base, tw))
-            got = ci.base_change_cochain(g, base, tw)
-            assert repr(got) == repr(_ref_base_change_cochain(g, base, tw))
+        assert repr(ci.cres_cochain_base(g, h)) == repr(_ref_cres_cochain_base(g, h, 0))
         x, y = ci._mono(base, g.n, 1.5 - 0.5j), ci._mono(g.n, h.n, _random_scalar(rng))
         ref_x, ref_y = _MonoMor(base, g.n, 1.5 - 0.5j), _MonoMor(g.n, h.n, y.coeff)
         assert repr(ci._compose(ci._mor_op, x, y).coeff) == repr(_mono_compose(ref_x, ref_y).coeff)
@@ -787,19 +817,11 @@ def test_certificate_refuses_a_pair_whose_widom_constant_is_dropped():
 
 def test_winding_zero_pairing_is_a_ratio_of_toeplitz_determinants():
     # on winding-zero v the window pairing of mu z^k with v at window N is
-    # det T_N(v) / det T_{N-k}(v) exactly: scipy's Toeplitz matrices and
-    # numpy's det share no code with the pipeline
-    from scipy.linalg import toeplitz
-
+    # det T_N(v) / det T_{N-k}(v) exactly, with `_toeplitz_det` the oracle
     rng = np.random.default_rng(3)
 
     def polar(r):
         return r * np.exp(2j * np.pi * rng.random())
-
-    def det_t(coeffs, n):  # coeffs of z^-2 .. z^2
-        col = [coeffs[2 + m] if m <= 2 else 0 for m in range(n)]
-        row = [coeffs[2 - m] if m <= 2 else 0 for m in range(n)]
-        return np.linalg.det(toeplitz(col, row))
 
     for i in range(12):
         inner = [polar(rng.uniform(0.5, 0.8)) for _ in range(2)]
@@ -812,5 +834,5 @@ def test_winding_zero_pairing_is_a_ratio_of_toeplitz_determinants():
         k, mu = 1 + i % 3, polar(rng.uniform(0.5, 2.0))
         for n in (20, 28):
             got = ci.steinberg_pairing(ci.Loop.monomial(mu, k), v, n, certify=False)
-            want = det_t(coeffs, n) / det_t(coeffs, n - k)
+            want = _toeplitz_det(coeffs, -2, n) / _toeplitz_det(coeffs, -2, n - k)
             assert abs(got - want) <= 1e-12 * abs(want), (i, k, n)

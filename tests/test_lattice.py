@@ -673,7 +673,8 @@ def test_solve_once_per_system_matches_per_vector_reference(monkeypatch):
             (FiberedLatticeOp.coker_coords, _ref_coker_coords, _probe_vectors(rng, op, 6)),
         ):
             if vecs:
-                got = counted("new", new, op, vecs)
+                with _linalg.memo_table():
+                    got = counted("new", new, op, vecs)
                 assert np.array_equal(got, counted("ref", ref, op, vecs))
     assert solves["new"] < solves["ref"] / 2
 

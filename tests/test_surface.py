@@ -5,10 +5,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # Reached from tests only, and kept on purpose.
-ALLOWED = {
-    "m_uni": "the window cocycle's determinant formula; the winding-zero fix decides its fate",
-    "base_change_cochain": "the only check that the circle class does not depend on the base object",
-}
+ALLOWED = {}
 
 
 def test_src_defines_nothing_that_only_tests_reach():
@@ -29,6 +26,33 @@ def test_src_defines_nothing_that_only_tests_reach():
         if name not in named and not (name.startswith("__") and name.endswith("__"))
     }
     assert sorted(unused) == sorted(ALLOWED), sorted(unused.items())
+
+
+def _memo_sets(node, where=None):
+    """The innermost enclosing function (None at module level) of each `MEMO.set`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute) and ast.unparse(child).endswith("MEMO.set"):
+            yield where
+        inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _memo_sets(child, child.name if inner else where)
+
+
+def test_src_has_one_memo_mechanism():
+    # a table activates only through `_linalg.memo_table`, and no function
+    # takes a table of its own
+    sets, params = [], []
+    for path in sorted(ROOT.glob("src/detline/*.py")):
+        tree = ast.parse(path.read_text())
+        sets += [f"{path.stem}.{where}" for where in _memo_sets(tree)]
+        params += [
+            f"{path.stem}.{fn.name}({a.arg})"
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            if a.arg in ("memo", "local")
+        ]
+    assert sets == ["_linalg.memo_table"], sets
+    assert params == [], params
 
 
 # Module-level containers shared by every caller in the process, kept on purpose.
