@@ -24,6 +24,8 @@ from .torus import (
     F_op,
     big_F,
     big_Omega,
+    idem_key,
+    lam_key,
     sigma_region,
 )
 
@@ -34,18 +36,11 @@ def triv_schedule(n: int) -> tuple:
     return tuple((k, k + 1) for k in range(n)) + ((0, n),)
 
 
-def _idem_key(p: RingIdempotent):
-    return None if p.is_unit else (p.u.a, p.u.b)
-
-
-def _lam_key(lam: SigmaIndex):
-    return (lam.g.a, lam.g.b)
-
-
 class Context:
     """All hom-line computations relative to one base-point idempotent.
 
-    `_get` keeps what it builds in `_cache`, and builds under
+    `_get` keeps what it builds in `_cache`, keyed by what the blocks read
+    (`torus.lam_key`, `torus.idem_key`), and builds under
     `_linalg.memo_table(_memo)`, the fibered kernel results by content (see
     `lattice`).  Both live as long as this Context and those made `like` it."""
 
@@ -64,11 +59,11 @@ class Context:
         return self._cache[key]
 
     def F(self, lam, mu, p, q) -> FiberedLatticeOp:
-        key = ("F", _lam_key(lam), _lam_key(mu), _idem_key(p), _idem_key(q))
+        key = ("F", lam_key(lam), lam_key(mu), idem_key(p), idem_key(q))
         return self._get(key, lambda: F_op(lam, mu, p, q))
 
     def line_deg(self, lam, mu, p, q) -> int:
-        key = ("deg", _lam_key(lam), _lam_key(mu), _idem_key(p), _idem_key(q))
+        key = ("deg", lam_key(lam), lam_key(mu), idem_key(p), idem_key(q))
         return self._get(key, lambda: self.F(lam, mu, p, q).presentation().degree)
 
     def _extend(self, T, lams, pairs):
@@ -92,7 +87,7 @@ class Context:
 
     def phi(self, lam, mu, e) -> complex:
         """Scalar of phi(1) relative to the frames of |F(p0,e)| (x) |F(e,p0)|."""
-        key = ("phi", _lam_key(lam), _lam_key(mu), _idem_key(e), _idem_key(self.p0))
+        key = ("phi", lam_key(lam), lam_key(mu), idem_key(e), idem_key(self.p0))
 
         def build():
             Fe = self.F(lam, mu, e, self.p0)
@@ -107,7 +102,7 @@ class Context:
 
     def psi(self, lam, mu, e) -> complex:
         """Scalar of psi on the frames of |F(e,p0)| (x) |F(p0,e)|."""
-        key = ("psi", _lam_key(lam), _lam_key(mu), _idem_key(e), _idem_key(self.p0))
+        key = ("psi", lam_key(lam), lam_key(mu), idem_key(e), idem_key(self.p0))
 
         def build():
             Fe = self.F(lam, mu, e, self.p0)
@@ -146,7 +141,7 @@ class Context:
         identity to the full slots, is compared by perturbation with the
         Omega chain of the reversed schedule at the base point.
         """
-        key = ("triv", schedule, *map(_lam_key, lams), _idem_key(e), _idem_key(self.p0))
+        key = ("triv", schedule, *map(lam_key, lams), idem_key(e), idem_key(self.p0))
 
         def build():
             p0s = tuple(self.p0 for _ in lams)
@@ -218,10 +213,12 @@ def compose(*xs: HomElement) -> HomElement:
     The scalar is M_p * M_q^dagger over the n-fold schedule, with the Koszul
     sign of moving each deg_q(x_i) past every later x_j.
     """
+    # composability compares all of (a, b), not only what a cache key holds
+    ab = [[None if z.is_unit else (z.u.a, z.u.b) for z in (y.ctx.p0, y.p, y.q)] for y in xs]
     if (
         len(xs) < 2
-        or len({(_idem_key(y.ctx.p0), _idem_key(y.p), _idem_key(y.q)) for y in xs}) > 1
-        or any(_lam_key(a.mu) != _lam_key(b.lam) for a, b in zip(xs, xs[1:]))
+        or any(k != ab[0] for k in ab)
+        or any((a.mu.g.a, a.mu.g.b) != (b.lam.g.a, b.lam.g.b) for a, b in zip(xs, xs[1:]))
     ):
         raise IdealViolation("morphisms are not composable")
     x = xs[0]
@@ -302,7 +299,7 @@ def change_base(x: HomElement, p0_new: RingIdempotent) -> HomElement:
         (s_old, big_old), (s_new, big_new) = half(x.ctx), half(ctx_new)
         return s_old, fredlines.perturbation(big_old, big_new), s_new
 
-    key = ("base", _lam_key(lam), _lam_key(mu), *map(_idem_key, (p, q, x.ctx.p0, p0_new)))
+    key = ("base", lam_key(lam), lam_key(mu), *map(idem_key, (p, q, x.ctx.p0, p0_new)))
     s_old, pert, s_new = x.ctx._get(key, build)
     return HomElement(ctx_new, p, q, lam, mu, x.coeff * s_old * pert / s_new)
 

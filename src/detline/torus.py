@@ -78,6 +78,16 @@ def sigma_region(lam: SigmaIndex, x: RingIdempotent) -> BoxUnion:
     return quadrant(a=lam.g.a, b=x.u.b)
 
 
+def lam_key(lam: SigmaIndex) -> int:
+    """All of lam that `sigma_region`, so every F and Omega block, reads."""
+    return lam.g.a
+
+
+def idem_key(x: RingIdempotent):
+    """All of x that `sigma_region`, so every F and Omega block, reads."""
+    return None if x.is_unit else x.u.b
+
+
 def indicator_op(region: BoxUnion, coeff=1.0) -> FiberedLatticeOp:
     """coeff times the indicator of region, as a one-slot diagonal operator."""
     space = SlotSpace([("h", BoxUnion.full(2))])

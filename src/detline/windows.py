@@ -39,6 +39,9 @@ from .lattice import Presentation
 # the cut; over seed 1, 3 and 9 rounds its condition bound on an
 # invertible square was at most 7e5, so it certified every one of them.
 SVD_TOL = 1e-8
+# Absolute cut under which an entry of a window vector (frame column or `apply` value) is
+# roundoff, not data: echelon frames are 1 on their pivot rows, so it is ~50 ulps of 1.
+SPARSE_TOL = 1e-14
 
 
 def _echelon(basis):
@@ -87,7 +90,7 @@ def _certified_invertible(mat) -> bool:
 
 
 def _sparse(vec, labels):
-    return {labels[i]: vec[i] for i in range(len(vec)) if abs(vec[i]) > 1e-14}
+    return {labels[i]: vec[i] for i in range(len(vec)) if abs(vec[i]) > SPARSE_TOL}
 
 
 class DenseOp:

@@ -146,3 +146,15 @@ def test_kac_moody_reduction(slice_var, ctx):
         want = pairing**e * (-1) ** (a * bg * bh)
         assert abs(got - want) <= 1e-12 * abs(want), (a, bg, bh)
     assert ci.steinberg_pairing(ci.Loop.monomial(1.0, 1), ci.Loop.monomial(1.0, 1)) == -1.0
+
+
+def test_mu_law(ctx):
+    # the scalars enter only as mu_g^{h.a k.b}: c(g, h, k) = c(g1, h1, k1) mu_g^{h.a k.b},
+    # with x1 the monomial x with its scalar set to 1
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        g, h, k = (random_monomial(rng, 2, -2) for _ in range(3))
+        g1, h1, k1 = (mono(1.0, x.a, x.b) for x in (g, h, k))
+        got = c3.cocycle_c(g, h, k, ctx)
+        want = c3.cocycle_c(g1, h1, k1, ctx) * g.mu ** (h.a * k.b)
+        assert abs(got - want) <= c3.AGREE_TOL * abs(want), (g, h, k)

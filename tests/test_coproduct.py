@@ -7,7 +7,17 @@ from detline import _linalg
 from detline import coproduct as cp
 from detline.errors import IdealViolation
 from detline.lattice import FiberedLatticeOp, SlotSpace, label_key
-from detline.torus import Monomial2, RingIdempotent, SigmaIndex, sigma_region
+from detline.torus import (
+    F_op,
+    Monomial2,
+    RingIdempotent,
+    SigmaIndex,
+    big_F,
+    big_Omega,
+    idem_key,
+    lam_key,
+    sigma_region,
+)
 from detline.verify import random_monomial, suite_category
 
 E = Monomial2.one()
@@ -288,3 +298,120 @@ def test_a_window_pairing_inside_a_builder_stores_nothing_in_the_context():
     # the window chains run under tables of their own, which end with them
     assert repr(value) == repr(ci.steinberg_pairing(ci.Loop.monomial(1.0, 1), v, 32))
     assert ctx._memo == {} and _linalg.MEMO.get() is None
+
+
+# -- what a Context key holds ---------------------------------------------------
+
+
+def _twin_lam(rng, lam):
+    """lam with a fresh g.b and scalar: the same `lam_key`."""
+    return SigmaIndex(mono(complex(rng.uniform(0.5, 2)), lam.g.a, int(rng.integers(-3, 4))))
+
+
+def _twin_idem(rng, p):
+    """p with a fresh u.a and scalar: the same `idem_key`."""
+    if p.is_unit:
+        return p
+    return q(mono(complex(rng.uniform(0.5, 2), 1), int(rng.integers(-3, 4)), p.u.b))
+
+
+def _content(build):
+    """Slots and entries of the operator build() returns, or the error it raises."""
+    try:
+        op = build()
+    except IdealViolation as err:
+        return str(err)
+    return op.dom.slots, op.cod.slots, op.entries
+
+
+def test_key_equal_indices_and_idempotents_build_equal_blocks():
+    # the invariant a Context key rests on: of each index the blocks read only
+    # lam_key, and of each idempotent only idem_key
+    rng = np.random.default_rng(41)
+    ctx, unit = cp.Context(q(E)), RingIdempotent.unit()
+    built = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 4))
+        i, j = sorted(rng.choice(n, 2, replace=False).tolist())
+        rest, diag = [(k, k) for k in range(n) if k not in (i, j)], [(k, k) for k in range(n)]
+
+        def blocks(lams, ps):
+            def F():
+                return big_F(lams, (i, j), tuple(ps))
+
+            def Om():  # Omega^{ij} needs equal idempotents at i and j
+                return big_Omega(lams, (i, j), (*ps[:j], ps[i], *ps[j + 1 :]))
+
+            return [
+                [sigma_region(lam, p) for lam in lams for p in (*ps, unit)],
+                _content(F),
+                _content(Om),
+                _content(lambda: ctx._extend(F(), lams, rest)),
+                _content(lambda: ctx._extend(Om(), lams, diag)),
+            ]
+
+        lams = [SigmaIndex(random_monomial(rng, 3, -3)) for _ in range(n)]
+        pool = [unit if rng.random() < 0.25 else q(random_monomial(rng, 3, -3)) for _ in range(2)]
+        twin_pool = [_twin_idem(rng, p) for p in pool]
+        picks = rng.integers(0, 2, n)
+        ps, twin_ps = [pool[k] for k in picks], [twin_pool[k] for k in picks]
+        twin_lams = [_twin_lam(rng, lam) for lam in lams]
+        assert [*map(lam_key, lams), *map(idem_key, ps)] == [
+            *map(lam_key, twin_lams),
+            *map(idem_key, twin_ps),
+        ]
+        got = blocks(lams, ps)
+        assert got == blocks(twin_lams, twin_ps)
+        built += sum(not isinstance(c, str) for c in got[1:])
+    assert built > 600, built
+
+
+def test_a_context_shares_blocks_between_key_equal_elements(monkeypatch):
+    # indices that differ only in g.b and idempotents that differ only in u.a
+    # and the scalar share every block, and every value is what a fresh
+    # Context computes, bit for bit
+    builds, real_F = [], cp.Context.F
+
+    def checked_F(self, lam, mu, p, r):
+        op = real_F(self, lam, mu, p, r)
+        assert _content(lambda: op) == _content(lambda: F_op(lam, mu, p, r))
+        return op
+
+    def counted(*args):
+        builds.append(args)
+        return F_op(*args)
+
+    def elements(ctx, k):
+        lams = [SigmaIndex(mono(1.0 + k, a, b + k)) for a, b in ((0, 1), (1, -1), (3, 2))]
+        p, r = q(mono(1j**k, 1 - k, 2)), q(mono(2.0 ** -k, 2 + k, -1))
+        x = cp.HomElement(ctx, p, r, lams[0], lams[1], 1.5)
+        return x, cp.HomElement(ctx, p, r, lams[1], lams[2], 0.5j)
+
+    def values(ctx, k):
+        x, y = elements(ctx, k)
+        return cp.compose(x, y).coeff, cp.change_base(x, q(mono(1.0, k, 1))).coeff
+
+    monkeypatch.setattr(cp, "F_op", counted)
+    monkeypatch.setattr(cp.Context, "F", checked_F)
+    ctx = cp.Context(q(E))
+    first = values(ctx, 0)
+    n_builds, n_entries = len(builds), len(ctx._cache)
+    assert n_builds and len({(*map(lam_key, b[:2]), *map(idem_key, b[2:])) for b in builds}) == n_builds
+    for k in range(4):
+        shared = values(ctx, k)
+        assert repr(shared) == repr(values(cp.Context(q(E)), k)) == repr(first)
+    assert len(ctx._cache) == n_entries
+
+
+def test_compose_rejects_an_index_that_differs_only_in_g_b(ctx):
+    # composability compares all of (a, b), though no cache key holds g.b
+    p, r = q(mono(1, 1, 1)), q(mono(1, 2, 2))
+    l1, l2, l3, l4 = (SigmaIndex(mono(1.0, a, 1)) for a in range(4))
+    l2b = SigmaIndex(mono(1.0, 1, 5))
+    assert lam_key(l2b) == lam_key(l2)
+    x, y = cp.HomElement(ctx, p, r, l1, l2), cp.HomElement(ctx, p, r, l2b, l3)
+    z = cp.HomElement(ctx, p, r, l3, l4)
+    with pytest.raises(IdealViolation):
+        cp.compose(x, y)
+    with pytest.raises(IdealViolation):
+        cp.ternary_compose(x, y, z)
