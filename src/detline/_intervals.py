@@ -1,13 +1,24 @@
-"""Half-open integer intervals, boxes and finite unions of boxes on Z^d.
+"""Half-open integer intervals, boxes and finite unions of boxes on Z^d, and
+the grid that cuts Z^d into cells at their bounds.
 
 A bound of ``None`` means unbounded (-inf for a lower bound, +inf for an
 upper bound).  All boxes are products of half-open intervals [lo, hi).
+
+A grid is one sorted list of cuts per axis.  Cell i of an axis spans
+[cuts[i-1], cuts[i]), unbounded below for i = 0 and above for
+i = len(cuts); a cell of the grid is a tuple of per-axis indices.  Arrays
+over a grid hold one entry per cell, and cells are listed in their C order
+(first axis outermost).  A box whose bounds are cuts covers a block of
+cells, given by one slice per axis.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 from ._linalg import memo
 from .errors import NotFiniteRank
@@ -97,13 +108,11 @@ class BoxUnion:
     def subtract(self, other: "BoxUnion") -> "BoxUnion":
         return memo(_subtract, self.dim, self.boxes, other.boxes)
 
-    def breakpoints(self, axis: int):
-        return _breakpoints(self.boxes, axis)
-
     def canonical(self):
-        """Canonical slab decomposition (axis 0 outermost)."""
+        """The covered cells of the grid cut only where membership changes,
+        as axis tuples in C order: one form per point set."""
         if self._canon is None:
-            self._canon = _slabs(self.boxes, self.dim)
+            self._canon = _canonical(self.boxes, self.dim)
         return self._canon
 
     def canonical_boxes(self):
@@ -126,56 +135,21 @@ class BoxUnion:
 
 
 def _subtract(dim, boxes, others):
-    cells = []  # of the joint grid, in boxes and not in others; none outside their hull
-    for cell in _cells(boxes + others, _hull(boxes)):
-        rep = _cell_rep(cell)
-        if any(b.contains(rep) for b in boxes) and not any(b.contains(rep) for b in others):
-            cells.append(cell)
-    return BoxUnion(dim, cells)
+    grid = grid_cuts(boxes + others, dim)
+    return BoxUnion(dim, marked_cells(grid, cover_mask(grid, boxes) & ~cover_mask(grid, others)))
 
 
-def _breakpoints(boxes, axis):
-    """The finite bounds of the boxes on one axis."""
-    pts = set()
-    for b in boxes:
-        lo, hi = b.axes[axis]
-        if lo is not None:
-            pts.add(lo)
-        if hi is not None:
-            pts.add(hi)
-    return pts
-
-
-def _axis_atoms(boxes, axis):
-    """Atomic intervals on one axis generated by the boxes' breakpoints."""
-    atoms, prev = [], None
-    for c in sorted(_breakpoints(boxes, axis)):
-        atoms.append((prev, c))
-        prev = c
-    atoms.append((prev, None))
-    return atoms
-
-
-def _hull(boxes) -> Box:
-    """Bounding box of the given boxes; each of its bounds is one of theirs."""
-    if len(boxes) == 1:
-        return boxes[0]
-    axes = []
-    for ivls in zip(*(b.axes for b in boxes)):
-        los, his = [lo for lo, _ in ivls], [hi for _, hi in ivls]
-        axes.append((None if None in los else min(los), None if None in his else max(his)))
-    return Box(tuple(axes))
-
-
-def _cells(boxes, within: Box):
-    """Atomic grid cells spanned by all breakpoints of the boxes, inside
-    `within`; its bounds must be breakpoints, so no cell straddles them."""
-    per_axis = [
-        [a for a in _axis_atoms(boxes, ax) if _ivl_intersect(a, iv) == a]
-        for ax, iv in enumerate(within.axes)
-    ]
-    for combo in itertools.product(*per_axis):
-        yield Box(combo)
+def _canonical(boxes, dim):
+    if len(boxes) <= 1:  # one box is its own canonical form
+        return tuple(b.axes for b in boxes)
+    grid = list(grid_cuts(boxes, dim))
+    mask = cover_mask(grid, boxes)
+    for ax in range(dim):  # keep the cuts between cell slabs that differ
+        others = tuple(a for a in range(dim) if a != ax)
+        changes = np.flatnonzero(np.diff(mask, axis=ax).any(axis=others))
+        grid[ax] = [grid[ax][k] for k in changes]
+        mask = mask.take(np.append(0, changes + 1), axis=ax)
+    return tuple(b.axes for b in marked_cells(grid, mask))
 
 
 def _cell_rep(cell: Box):
@@ -190,40 +164,57 @@ def _cell_rep(cell: Box):
     return tuple(rep)
 
 
-def _slabs(boxes, dim):
-    """Recursive canonical decomposition: tuple of axis tuples."""
-    if len(boxes) <= 1:  # at most one box is its own decomposition
-        return tuple(b.axes for b in boxes)
-    if dim == 0:
-        return ((),)
-    out = []
-    for atom in _axis_atoms(boxes, 0):
-        rep = atom[0] if atom[0] is not None else (atom[1] - 1 if atom[1] is not None else 0)
-        inner_boxes = [
-            Box(b.axes[1:]) for b in boxes if _ivl_contains(b.axes[0], rep)
-        ]
-        sub = _slabs(inner_boxes, dim - 1)
-        if sub:
-            out.append((atom, sub))
-    # merge adjacent slabs with identical inner decompositions
-    merged = []
-    for atom, sub in out:
-        if merged and merged[-1][1] == sub:
-            plo, phi = merged[-1][0]
-            if phi is not None and atom[0] is not None and phi == atom[0]:
-                merged[-1] = ((plo, atom[1]), sub)
-                continue
-        merged.append([atom, sub])
-    cells = []
-    for atom, sub in merged:
-        for inner in sub:
-            cells.append((atom,) + tuple(inner))
-    return tuple(sorted(cells, key=_slab_key))
+# -- the grid ------------------------------------------------------------------
 
 
-def _slab_key(axes):
-    def ik(iv):
-        lo, hi = iv
-        return (lo is not None, lo if lo is not None else 0, hi is None, hi if hi is not None else 0)
+def grid_cuts(boxes, dim):
+    """The grid cut at every finite bound of the boxes."""
+    return tuple(
+        sorted({x for b in boxes for x in b.axes[ax] if x is not None}) for ax in range(dim)
+    )
 
-    return tuple(ik(iv) for iv in axes)
+
+def grid_shape(grid):
+    return tuple(len(c) + 1 for c in grid)
+
+
+def cell_index(cuts, x: int) -> int:
+    """Index of the cell of one axis, cut at `cuts`, that holds x."""
+    return bisect_right(cuts, x)
+
+
+def cell_bounds(cuts, i: int):
+    """(lo, hi) of cell i of one axis cut at `cuts`."""
+    return (cuts[i - 1] if i else None, cuts[i] if i < len(cuts) else None)
+
+
+def cover(grid, box: Box):
+    """Per axis, the slice of the cells inside a box whose bounds are cuts."""
+    return tuple(
+        slice(
+            0 if lo is None else cell_index(c, lo), len(c) + 1 if hi is None else cell_index(c, hi)
+        )
+        for c, (lo, hi) in zip(grid, box.axes)
+    )
+
+
+def cover_mask(grid, boxes):
+    """Per cell, whether one of the boxes covers it."""
+    mask = np.zeros(grid_shape(grid), dtype=bool)
+    for b in boxes:
+        mask[cover(grid, b)] = True
+    return mask
+
+
+def cover_sum(grid, pairs):
+    """Per cell, the coefficients of the (coefficient, box) pairs that cover
+    it, summed in pair order."""
+    total = np.zeros(grid_shape(grid), dtype=complex)
+    for c, b in pairs:
+        total[cover(grid, b)] += c
+    return total
+
+
+def marked_cells(grid, mask):
+    """The box of each cell marked in `mask`, in C order."""
+    return [Box(tuple(map(cell_bounds, grid, idx))) for idx in np.argwhere(mask).tolist()]

@@ -74,7 +74,7 @@ class Loop:
     @classmethod
     def laurent(cls, coeffs, k_min=0) -> "Loop":
         pairs = tuple(
-            (k_min + i, complex(c)) for i, c in enumerate(coeffs) if abs(c) > 0
+            (int(k_min) + i, complex(c)) for i, c in enumerate(coeffs) if abs(c) > 0
         )
         if not pairs:
             raise Uncertified("the zero loop is not invertible")

@@ -22,7 +22,7 @@ from . import circle as ci
 from . import cocycle3 as c3
 from .errors import DetlineError, OutOfRange, ParseError, Uncertified, Unstable
 from .torus import Monomial2
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 _SCALAR = r"\(\s*([\d.eE+-]+)\s*,\s*([\d.eE+-]+)\s*\)"
 
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cocycle3)
 
     p = sub.add_parser("verify", help="run a seeded property suite")
-    p.add_argument("--suite", required=True, choices=["torsion", "perturbation", "category", "cocycle", "bipolar"])
+    p.add_argument("--suite", required=True, choices=list(SUITES))
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_verify)

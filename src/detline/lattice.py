@@ -4,7 +4,9 @@ Operators here are block matrices between "slot spaces": ordered lists of
 slots, each carrying a sub-lattice support (a union of integer boxes).
 Every matrix entry is a finite sum of coefficient * box-indicator, so the
 operator is block-diagonal over lattice fibers, and its fiber is constant on
-each cell of the grid cut at its breakpoints.  Kernels, cokernels, indices,
+each cell of the grid (`_intervals`) cut at every bound of its slot supports
+and entry boxes.  Entries, fibers and joint walks are read off arrays over
+that grid, one entry per cell.  Kernels, cokernels, indices,
 trace norms and the exceptional fibers of a perturbation reduce to finite
 linear algebra once per bounded grid cell plus a certification of the
 unbounded cells.  Under an active `_linalg.memo_table` (a `coproduct.Context`
@@ -16,14 +18,16 @@ and array (shape, dtype, bytes) or boxes; outside one it is computed directly.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
 from math import prod
 
 import numpy as np
 
 from . import _linalg
-from ._intervals import Box, BoxUnion, _breakpoints, _cell_rep, _cells, _hull
+from ._intervals import (
+    Box, BoxUnion, _cell_rep, cell_bounds, cell_index, cover, cover_mask, cover_sum, grid_cuts,
+    grid_shape, marked_cells,
+)
 from .errors import NotFiniteRank, NotFredholm, ShapeMismatch
 
 COEFF_TOL = 1e-12
@@ -76,12 +80,6 @@ class SlotSpace:
             return False
         return all(a.support == b.support for a, b in zip(self.slots, other.slots))
 
-    def breakpoints(self, axis):
-        pts = set()
-        for s in self.slots:
-            pts |= s.support.breakpoints(axis)
-        return pts
-
     def __repr__(self):
         return f"SlotSpace({[s.name for s in self.slots]})"
 
@@ -101,34 +99,24 @@ class Presentation:
 def _canonical_cells(pairs, support: BoxUnion):
     """Disjoint (value, box) cells of a coefficient-box sum on a support.
 
-    Only cells inside the hulls of both the support and the pair boxes are
-    visited: every other cell lies outside the support or sums to zero.
+    The grid is cut at the bounds of the pair boxes and of the support's
+    canonical boxes; its cells that lie in the support and sum past
+    COEFF_TOL are kept, in C order.
     """
     sup_boxes = support.canonical_boxes()
-    if not pairs or not sup_boxes:
-        return ()
-    hull = _hull(sup_boxes).intersect(_hull([b for _, b in pairs]))
-    if hull is None:
-        return ()
-    out = []
-    for cell in _cells([b for _, b in pairs] + list(sup_boxes), hull):
-        rep = _cell_rep(cell)
-        if not support.contains(rep):
-            continue
-        val = sum(c for c, b in pairs if b.contains(rep))
-        if abs(val) > COEFF_TOL:
-            out.append((complex(val), cell))
-    return tuple(out)
+    grid = grid_cuts([b for _, b in pairs] + list(sup_boxes), support.dim)
+    vals = cover_sum(grid, pairs)
+    keep = cover_mask(grid, sup_boxes) & (np.abs(vals) > COEFF_TOL)
+    return tuple(zip(vals[keep].tolist(), marked_cells(grid, keep)))
 
 
 def _walk(ops, bounded):
     """(box, point in it, fibers) of each bounded, or else unbounded, joint cell.
 
-    The joint grid cuts each axis at all `ops`' breakpoints; cell i of an
-    axis spans [cuts[i-1], cuts[i]), unbounded below for i = 0 and above
-    for i = len(cuts).  An operator's own cuts are a subset, so joint cell
-    i lies in its own cell bisect_right(own, cuts[i-1]) (0 for i = 0).  That
-    map is tabled once per axis; `fibers` holds each op's fiber by cell index.
+    The joint grid cuts each axis at all `ops`' cuts.  An operator's own
+    cuts are a subset, so joint cell i of an axis lies in the own cell that
+    holds its lower bound cuts[i-1] (cell 0 for i = 0).  That map is tabled
+    once per axis; `fibers` holds each op's fiber by cell index.
     """
     cuts = [sorted(set().union(*axes)) for axes in zip(*(op._grid() for op in ops))]
     spans = [range(1, len(c)) if bounded else range(len(c) + 1) for c in cuts]
@@ -140,13 +128,10 @@ def _walk(ops, bounded):
         items = itertools.product(*tables)
         return items if bounded else itertools.compress(items, keep)
 
-    bounds = cells(
-        [(c[i - 1] if i else None, c[i] if i < len(c) else None) for i in s]
-        for c, s in zip(cuts, spans)
-    )
+    bounds = cells([cell_bounds(c, i) for i in s] for c, s in zip(cuts, spans))
     per_op = [
         map(op._cell_fiber, cells(
-            [bisect_right(g, c[i - 1]) if i else 0 for i in s]
+            [cell_index(g, c[i - 1]) if i else 0 for i in s]
             for g, c, s in zip(op._grid(), cuts, spans)
         ))
         for op in ops
@@ -225,9 +210,9 @@ class FiberedLatticeOp:
     # -- elementary algebra ---------------------------------------------------
 
     def fiber(self, pt):
-        """Fiber matrix at pt with its active slot index lists; pt's grid cell
-        is found by bisecting each axis, where `_walk` reads fibers by index."""
-        return self._cell_fiber(tuple(bisect_right(c, x) for c, x in zip(self._grid(), pt)))
+        """Fiber matrix at pt with its active slot index lists, read from
+        pt's grid cell, where `_walk` reads fibers by cell index."""
+        return self._cell_fiber(tuple(map(cell_index, self._grid(), pt)))
 
     def _cell_fiber(self, idx):
         """Fiber of the own grid cell idx, indexed as in `_walk`; all built on first use."""
@@ -236,33 +221,19 @@ class FiberedLatticeOp:
         return self._fibers[idx]
 
     def _cell_fibers(self):
-        """Fiber of every grid cell, keyed by its per-axis bisect index."""
-        cuts = self._grid()
-        shape = tuple(len(c) + 1 for c in cuts)
+        """Fiber of every grid cell, keyed by its per-axis cell index."""
+        grid = self._grid()
+        shape = grid_shape(grid)
         size = prod(shape)
-
-        def cover(box):  # cells inside a box whose bounds are breakpoints
-            return tuple(
-                slice(
-                    0 if lo is None else bisect_right(c, lo),
-                    len(c) + 1 if hi is None else bisect_right(c, hi),
-                )
-                for c, (lo, hi) in zip(cuts, box.axes)
-            )
 
         def active(space):  # per cell, one membership flag per slot
             masks = np.zeros((len(space),) + shape, dtype=bool)
             for k, s in enumerate(space.slots):
                 for b in s.support.boxes:
-                    masks[(k,) + cover(b)] = True
+                    masks[(k,) + cover(grid, b)] = True
             return masks.reshape(len(space), size).T.tolist()
 
-        vals = {}
-        for key, pairs in self.entries.items():
-            v = np.zeros(shape, dtype=complex)
-            for c, b in pairs:
-                v[cover(b)] += c
-            vals[key] = v.ravel().tolist()
+        vals = {key: cover_sum(grid, pairs).ravel().tolist() for key, pairs in self.entries.items()}
         fibers = {}
         cells = zip(np.ndindex(shape), active(self.dom), active(self.cod))
         for n, (idx, dom_in, cod_in) in enumerate(cells):
@@ -333,14 +304,12 @@ class FiberedLatticeOp:
 
     # -- grid cells -----------------------------------------------------------
 
-    def breakpoints(self, axis):
-        boxes = [b for pairs in self.entries.values() for _, b in pairs]
-        return self.dom.breakpoints(axis) | self.cod.breakpoints(axis) | _breakpoints(boxes, axis)
-
     def _grid(self):
-        """Sorted breakpoints per axis: the cuts of the operator's grid cells."""
+        """The operator's grid: cut at every bound of its slot supports and entry boxes."""
         if self._cuts is None:
-            self._cuts = tuple(sorted(self.breakpoints(ax)) for ax in range(self.dim))
+            boxes = [b for s in self.dom.slots + self.cod.slots for b in s.support.boxes]
+            boxes += [b for pairs in self.entries.values() for _, b in pairs]
+            self._cuts = grid_cuts(boxes, self.dim)
         return self._cuts
 
     def certify_fredholm(self):

@@ -24,7 +24,7 @@ from detline.windows import DenseOp
 
 
 def _probe_points(op):
-    """Lattice points up to two past the operator's outermost breakpoints."""
+    """Lattice points up to two past the operator's outermost cuts."""
     return list(Box(tuple((c[0] - 2, c[-1] + 2) if c else (0, 1) for c in op._grid())).points())
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,3 +77,87 @@ def test_intersection_containment_agrees_with_subtract(case):
     contained = a.intersect(b) == a
     assert contained == (not a.subtract(b).canonical())
     assert contained == all(b.contains(p) for p in window_points(dim) if a.contains(p))
+
+
+# -- seeded unions whose canonical form drops cuts ----------------------------
+
+
+def _split(box, ax, cut):
+    """The box cut in two on one axis, or the box itself if cut misses its inside."""
+    lo, hi = box.axes[ax]
+    if (lo is not None and cut <= lo) or (hi is not None and cut >= hi):
+        return [box]
+    return [Box(box.axes[:ax] + (part,) + box.axes[ax + 1:]) for part in ((lo, cut), (cut, hi))]
+
+
+def _recut(rng, boxes, cuts):
+    """The boxes split at one cut per axis, pieces shuffled."""
+    pieces = list(boxes)
+    for ax, cut in enumerate(cuts):
+        pieces = [p for b in pieces for p in _split(b, ax, cut)]
+    rng.shuffle(pieces)
+    return pieces
+
+
+def _bounds(canonical, ax):
+    return {x for axes in canonical for x in axes[ax] if x is not None}
+
+
+def test_dim_zero_union_of_two_points_is_one_point():
+    assert BoxUnion(0, [Box(()), Box(())]).canonical() == ((),)
+    assert BoxUnion(0, []).canonical() == ()
+
+
+def test_canonical_form_drops_every_cut_where_membership_does_not_change():
+    rng = np.random.default_rng(17)
+    for dim in (1, 2, 3):
+        for _ in range(20):
+            # a box, possibly unbounded, halved on every axis
+            lo = rng.integers(-6, 0, dim).tolist()
+            hi = [x + int(rng.integers(3, 6)) for x in lo]
+            axes = tuple(
+                (None if rng.random() < 0.25 else a, None if rng.random() < 0.25 else b)
+                for a, b in zip(lo, hi)
+            )
+            halves = _recut(rng, [Box(axes)], [int(rng.integers(a + 1, b)) for a, b in zip(lo, hi)])
+            assert len(halves) == 2**dim
+            assert BoxUnion(dim, halves).canonical() == (axes,)
+            # an L: the box minus its upper corner from mid, as one slab per
+            # axis, then cut again on every axis where nothing changes
+            mid = [int(rng.integers(a + 1, b - 1)) for a, b in zip(lo, hi)]
+            box = Box(tuple(zip(lo, hi)))
+            ell = [_split(box, ax, m)[0] for ax, m in enumerate(mid)]
+            extra = [m + 1 for m in mid]
+            form = BoxUnion(dim, ell).canonical()
+            assert BoxUnion(dim, _recut(rng, ell, extra)).canonical() == form
+            for ax in range(dim):
+                keep = {lo[ax], mid[ax]} | ({hi[ax]} if dim > 1 else set())
+                assert _bounds(form, ax) == keep and extra[ax] not in keep
+            pts = {p for b in ell for p in b.points()}
+            assert pts == {p for axes in form for p in Box(axes).points()}
+
+
+def _random_box(rng, dim):
+    axes = []
+    for _ in range(dim):
+        lo, hi = sorted(rng.choice(np.arange(LO, HI + 1), 2, replace=False).tolist())
+        axes.append((None if rng.random() < 0.2 else lo, None if rng.random() < 0.2 else hi))
+    return Box(tuple(axes))
+
+
+def test_canonical_forms_are_equal_exactly_when_the_point_sets_are():
+    # WINDOW holds one point of each cell of every grid drawn here, so
+    # equal window points mean equal point sets
+    rng = np.random.default_rng(29)
+    for dim in (1, 2, 3):
+        unions = []
+        for _ in range(25):
+            boxes = [_random_box(rng, dim) for _ in range(int(rng.integers(1, 4)))]
+            cuts = rng.integers(LO, HI + 1, dim).tolist()
+            unions += [BoxUnion(dim, boxes), BoxUnion(dim, _recut(rng, boxes, cuts))]
+        points = [frozenset(p for p in window_points(dim) if u.contains(p)) for u in unions]
+        equal = 0
+        for (a, pa), (b, pb) in itertools.combinations(zip(unions, points), 2):
+            assert (a.canonical() == b.canonical()) == (pa == pb)
+            equal += pa == pb
+        assert equal >= 25

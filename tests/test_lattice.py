@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from detline import _linalg
-from detline._intervals import Box, BoxUnion, _axis_atoms, _cell_rep
+from detline._intervals import Box, BoxUnion, _cell_rep
 from detline.errors import NotFiniteRank, ShapeMismatch
 from detline.lattice import COEFF_TOL, FiberedLatticeOp, SlotSpace, _fibers_agree, _walk, pt_key
 from detline.torus import quadrant
@@ -15,7 +15,7 @@ from detline import circle as ci
 
 
 def _probe_box(op, margin=2):
-    """Box reaching `margin` past the operator's outermost breakpoints."""
+    """Box reaching `margin` past the operator's outermost cuts."""
     return Box(tuple((c[0] - margin, c[-1] + margin) if c else (0, 1) for c in op._grid()))
 
 
@@ -464,7 +464,7 @@ def _ref_pert_labels(t1, t2, images):
 
 def _finite_perturbation(rng, op, count=3, width=2):
     """op plus random coefficients on a few small boxes of its slot pairs."""
-    lo = [min(op.breakpoints(ax)) for ax in range(op.dim)]
+    lo = [c[0] for c in op._grid()]
     ents = {}
     for _ in range(count):
         i, j = int(rng.integers(len(op.cod))), int(rng.integers(len(op.dom)))
@@ -579,7 +579,7 @@ def test_presentation_eliminates_once_per_grid_cell(monkeypatch):
     q = tor.RingIdempotent.generator(tor.Monomial2(1.0, 0, 1))
     op = tor.F_op(lam, mu, p, q)
     pres = op.presentation()
-    cells = np.prod([len(op.breakpoints(ax)) + 1 for ax in range(op.dim)])
+    cells = np.prod([len(c) + 1 for c in op._grid()])
     assert pres.ker or pres.coker
     assert 0 < len(calls) <= cells < len(_probe_points(op))
 
@@ -700,9 +700,16 @@ def test_express_in_kernel_still_rejects_non_kernel_vectors():
 
 # -- construction against the reference geometry -------------------------------
 #
-# The references are the construction geometry that the hull-restricted code
-# replaced: every cell of the full breakpoint grid is visited, and inclusion
-# tests containment by enumerating the grid of a difference.
+# The references build entries cell by cell: each cell of the full grid of
+# the boxes' bounds is classified by one representative point, where the code
+# sums arrays over that grid, and inclusion tests containment by enumerating
+# the grid of a difference.
+
+
+def _axis_atoms(boxes, axis):
+    """The cells of one axis cut at the boxes' finite bounds, as intervals."""
+    cuts = sorted({x for b in boxes for x in b.axes[axis] if x is not None})
+    return list(zip([None] + cuts, cuts + [None]))
 
 
 def _ref_cells(boxes, dim):

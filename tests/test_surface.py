@@ -55,6 +55,19 @@ def test_src_has_one_memo_mechanism():
     assert params == [], params
 
 
+def test_src_has_one_grid_mechanism():
+    # cells of Z^d are indexed by bisecting per-axis cuts in `_intervals` only
+    importers = []
+    for path in sorted(ROOT.glob("src/detline/*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            if any(n.partition(".")[0] == "bisect" for n in names):
+                importers.append(path.stem)
+    assert importers == ["_intervals"], importers
+
+
 # Module-level containers shared by every caller in the process, kept on purpose.
 STATE_ALLOWED = {
     "__init__.__all__": "the package's public module list, read by `import *` and never mutated",
